@@ -166,7 +166,7 @@ fn j_str<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
 }
 
 /// Render a `postmortem.json` dump (written by a simulator binary's
-/// flight recorder on a monitor violation or failed `run_until`) against
+/// flight recorder when a monitor poll reports a violation) against
 /// the spec's predicted bounds: which stream tripped, how far over budget
 /// it went, and which blame component — with its analytic ceiling — the
 /// overrun is attributed to.

@@ -41,7 +41,7 @@ use crate::rules::{assemble_report, transition_delay_bound, AnalysisOptions, Fac
 use crate::spec::{stream_from_json, stream_kernels, DeploySpec, StreamDeploy};
 use crate::{json, Json};
 use streamgate_core::Monitor;
-use streamgate_platform::{CFifo, FifoId, StreamConfig, System};
+use streamgate_platform::{CFifo, FifoId, StopWhen, StreamConfig, System};
 
 /// One stream-churn request against a deployment.
 #[derive(Clone, Debug, PartialEq)]
@@ -796,7 +796,7 @@ impl AdmissionController {
         let budget = self.idle_rounds * gamma + 4000;
         for _ in 0..8 {
             let idle = system.gateways[sysg].is_idle()
-                || system.run_until(budget, |s| s.gateways[sysg].is_idle());
+                || system.run_until(budget, StopWhen::GatewayIdle(sysg));
             if !idle {
                 return Err(AdmissionError::Timeout(format!(
                     "gateway {sysg} not idle within {budget} cycles (gamma = {gamma})"

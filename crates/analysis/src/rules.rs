@@ -1453,10 +1453,14 @@ fn check_system_round(
         }
         group_checked.push(v.group);
         let members: Vec<_> = views.iter().filter(|w| w.group == v.group).collect();
+        // Non-positive rates and zero block sizes are A1/A3 errors already
+        // reported per pair; the utilisation sum is meaningless over them.
         if members.iter().all(|w| w.streams.is_empty())
-            || members
-                .iter()
-                .any(|w| w.streams.iter().any(|s| !s.mu.is_positive()))
+            || members.iter().any(|w| {
+                w.streams
+                    .iter()
+                    .any(|s| !s.mu.is_positive() || s.eta_in == 0)
+            })
         {
             continue;
         }
@@ -1500,7 +1504,7 @@ fn check_system_round(
         .flat_map(|v| v.streams.iter().map(move |s| (v, s)))
         .enumerate()
     {
-        if !s.mu.is_positive() || gamma_sys[gi] == gamma_local[gi] {
+        if !s.mu.is_positive() || s.eta_in == 0 || gamma_sys[gi] == gamma_local[gi] {
             continue;
         }
         let lhs = Rational::new(s.eta_in as i128, gamma_sys[gi] as i128);

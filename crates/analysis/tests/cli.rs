@@ -184,3 +184,51 @@ fn delta_mode_exits_two_when_final_state_rejected() {
     let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// A zero block size in a delta script is rejected with a diagnostic, not
+/// a crash (exit 101): the request reads `-> reject` and the run ends on
+/// the still-accepted baseline.
+#[test]
+fn zero_eta_delta_is_rejected_not_a_crash() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (eta_in, eta_out) in [(0, 8), (0, 0), (8, 0)] {
+        let script = dir.join(format!("zero-eta-{eta_in}-{eta_out}.json"));
+        std::fs::write(
+            &script,
+            format!(
+                r#"{{"deltas": [
+                {{"op": "add", "gateway": 1, "stream": {{"name": "z", "mu": [1, 1000000],
+                 "eta_in": {eta_in}, "eta_out": {eta_out}, "reconfig": 20,
+                 "input_capacity": 64, "output_capacity": 64}}}}
+            ]}}"#
+            ),
+        )
+        .unwrap();
+        let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            text.contains("delta 0: add z @ gateway 1 -> reject"),
+            "{out:?}"
+        );
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+}
+
+/// A spec file whose stream has a zero block size is rejected: exit 2.
+#[test]
+fn zero_eta_spec_file_exits_two() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (eta_in, eta_out) in [(0, 8), (0, 0), (8, 0)] {
+        let mut spec = streamgate_analysis::DeploySpec::pal2();
+        spec.gateways[1].streams[0].eta_in = eta_in;
+        spec.gateways[1].streams[0].eta_out = eta_out;
+        let file = dir.join(format!("zero-eta-spec-{eta_in}-{eta_out}.json"));
+        std::fs::write(&file, spec.to_json_text()).unwrap();
+        let out = analyze(&["--spec", file.to_str().unwrap()]);
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("verdict: REJECTED"), "{out:?}");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+    }
+}

@@ -21,6 +21,7 @@ use streamgate_analysis::{
     StreamModes,
 };
 use streamgate_ilp::Rational;
+use streamgate_platform::StopWhen;
 
 /// Reference mutation: apply `delta` to a spec the slow, obvious way.
 fn apply_delta(spec: &DeploySpec, delta: &Delta) -> DeploySpec {
@@ -277,7 +278,7 @@ fn admit_during_reconfig_window() {
     for k in 0..eta {
         built.system.fifos[f.0].try_push((k as f64, 0.0), 0);
     }
-    built.system.run_until(1_000, |s| !s.gateways[0].is_idle());
+    built.system.run_until(1_000, StopWhen::GatewayBusy(0));
     built.system.run(50);
     assert!(
         !built.system.gateways[built.gateways[0]].is_idle(),
@@ -324,4 +325,52 @@ fn admit_during_reconfig_window() {
         gw.stream(idx).blocks_done >= 1,
         "spliced stream ran a block"
     );
+}
+
+/// A zero block size is a diagnostic, not a panic: the admission request
+/// comes back as a `Reject` (A1), the running system is untouched and
+/// keeps running.
+#[test]
+fn zero_eta_request_is_rejected_without_touching_the_system() {
+    let spec = DeploySpec::pal2();
+    let mut built = spec.build_multi_platform();
+    built.system.run(1_000);
+    let mut ctrl = AdmissionController::new(spec.clone(), fast_options());
+    let gateways = built.gateways.clone();
+    let streams = built.system.gateways[gateways[1]].num_streams();
+    for (eta_in, eta_out) in [(0, 8), (0, 0), (8, 0)] {
+        let zero = StreamDeploy {
+            name: "zero".into(),
+            mu: Rational::new(1, 1_000_000),
+            eta_in,
+            eta_out,
+            reconfig: 20,
+            input_capacity: 64,
+            output_capacity: 64,
+            max_latency: None,
+        };
+        let cycle = built.system.cycle();
+        let outcome = ctrl
+            .request(
+                &mut built.system,
+                &gateways,
+                &Delta::AddStream {
+                    gateway: 1,
+                    stream: zero,
+                },
+                None,
+            )
+            .unwrap();
+        assert!(
+            !outcome.verdict.is_admitted(),
+            "eta_in {eta_in}, eta_out {eta_out} must be rejected"
+        );
+        assert_eq!(
+            built.system.cycle(),
+            cycle,
+            "a reject never runs the system"
+        );
+    }
+    built.system.run(1_000);
+    assert_eq!(built.system.gateways[gateways[1]].num_streams(), streams);
 }

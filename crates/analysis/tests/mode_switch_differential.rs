@@ -31,7 +31,7 @@ use streamgate_analysis::{
 };
 use streamgate_core::measured_transition_delay;
 use streamgate_ilp::Rational;
-use streamgate_platform::StepMode;
+use streamgate_platform::{StepMode, StopWhen};
 
 const ENGINES: [StepMode; 2] = [StepMode::Exhaustive, StepMode::EventDriven];
 
@@ -358,7 +358,7 @@ fn switch_requested_inside_reconfig_window_respects_bound() {
         for k in 0..eta {
             b.system.fifos[f.0].try_push((k as f64, 0.0), 0);
         }
-        b.system.run_until(1_000, |s| !s.gateways[0].is_idle());
+        b.system.run_until(1_000, StopWhen::GatewayBusy(0));
         b.system.run(50);
         assert!(
             !b.system.gateways[b.gateways[0]].is_idle(),

@@ -2,7 +2,7 @@
 //!
 //! * the online monitor, armed with analyzer bounds via `monitor_for`,
 //!   flags the Fig. 9 head-of-line wedge *during* the run (with the right
-//!   stream and cycle) and can stop `run_until` at the first violation;
+//!   stream and cycle), polled between fixed-length run legs;
 //! * a clean check-for-space-enabled run keeps the monitor silent;
 //! * `RunProfile` JSON round-trips bit-exactly through `parse_profile`;
 //! * the profile JSON schema for the `pal` preset is pinned by a golden
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use streamgate_analysis::{
     analyze, analyze_profiled, monitor_for, parse_profile, AnalysisOptions, DeploySpec,
 };
-use streamgate_core::{collect_profile, ViolationKind};
+use streamgate_core::{collect_profile, Monitor, ViolationKind};
 use streamgate_platform::{StallCause, StepMode, System};
 
 const ENGINES: [StepMode; 2] = [StepMode::Exhaustive, StepMode::EventDriven];
@@ -30,6 +30,21 @@ fn saturated_profiled(spec: &DeploySpec, mode: StepMode) -> streamgate_core::Bui
         }
     }
     b
+}
+
+/// Run `system` in fixed-length legs for up to `budget` cycles, polling
+/// `monitor` after each leg; returns `true` as soon as it reports a
+/// violation.
+fn run_monitored(system: &mut System, monitor: &mut Monitor, budget: u64) -> bool {
+    const LEG: u64 = 64;
+    let end = system.cycle() + budget;
+    while system.cycle() < end {
+        system.run(LEG.min(end - system.cycle()));
+        if monitor.poll(&system.tracer) > 0 {
+            return true;
+        }
+    }
+    false
 }
 
 /// The cycle at which the (still open) exit-FIFO-full stall started, from
@@ -59,7 +74,7 @@ fn monitor_flags_fig9_wedge_mid_run_with_stream_and_cycle() {
         let mut b = saturated_profiled(&spec, mode);
         let mut monitor = monitor_for(&spec, &report, &b.system);
         let budget = 20_000;
-        let stopped = b.system.run_until(budget, |s| monitor.poll(&s.tracer) > 0);
+        let stopped = run_monitored(&mut b.system, &mut monitor, budget);
         assert!(
             stopped,
             "({mode:?}) monitor never fired within {budget} cycles"
@@ -89,9 +104,8 @@ fn monitor_flags_fig9_wedge_mid_run_with_stream_and_cycle() {
 }
 
 /// The safe variant: with the admission test enabled the wedge cannot
-/// form, `run_until` runs the predicate to exhaustion (the monitor-driven
-/// selective-step regression on both engines), and the monitor stays
-/// silent over the whole trace.
+/// form, the monitored run goes to exhaustion on both engines, and the
+/// monitor stays silent over the whole trace.
 #[test]
 fn monitor_stays_silent_on_fig9_with_space_check() {
     let spec = DeploySpec::fig9(true);
@@ -100,7 +114,7 @@ fn monitor_stays_silent_on_fig9_with_space_check() {
     for mode in ENGINES {
         let mut b = saturated_profiled(&spec, mode);
         let mut monitor = monitor_for(&spec, &report, &b.system);
-        let stopped = b.system.run_until(20_000, |s| monitor.poll(&s.tracer) > 0);
+        let stopped = run_monitored(&mut b.system, &mut monitor, 20_000);
         assert!(!stopped, "({mode:?}) monitor fired on a safe run: {:?}", {
             monitor.violations()
         });
@@ -126,7 +140,7 @@ fn monitor_stays_silent_on_fig9_with_space_check() {
     }
     assert_eq!(
         blocks_by_engine[0], blocks_by_engine[1],
-        "engines disagree under a monitor-driven run_until"
+        "engines disagree under a monitored run"
     );
 }
 

@@ -412,6 +412,7 @@ pub fn build_pal_system(cfg: &PalSystemConfig) -> PalSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamgate_platform::StopWhen;
 
     #[test]
     fn scaled_config_is_feasible_and_solved() {
@@ -441,14 +442,24 @@ mod tests {
         let cfg = PalSystemConfig::scaled_default();
         let mut p = build_pal_system(&cfg);
         // Run until the first front block has been multiplexed.
-        let done = p
-            .system
-            .run_until(500_000, |s| s.gateways[0].stream(0).blocks_done >= 1);
+        let done = p.system.run_until(
+            500_000,
+            StopWhen::BlocksDone {
+                gateway: 0,
+                stream: 0,
+                n: 1,
+            },
+        );
         assert!(done, "first block never completed");
         // And eventually a back block produces audio samples.
-        let done = p
-            .system
-            .run_until(1_000_000, |s| s.gateways[0].stream(2).blocks_done >= 1);
+        let done = p.system.run_until(
+            1_000_000,
+            StopWhen::BlocksDone {
+                gateway: 0,
+                stream: 2,
+                n: 1,
+            },
+        );
         assert!(done, "audio block never completed");
         assert!(p.system.fifos[4].pushed > 0, "mono audio fifo stayed empty");
     }

@@ -18,8 +18,8 @@
 //!   admission test working and are *not* violations).
 //!
 //! The monitor is poll-driven: call [`Monitor::poll`] between simulation
-//! steps (or inside a `System::run_until` predicate) and it consumes the
-//! events appended since the last poll. A wedged run never *closes* its
+//! runs (a long run split into fixed-length `System::run` legs) and it
+//! consumes the events appended since the last poll. A wedged run never *closes* its
 //! stall window into an event, so the monitor additionally inspects the
 //! tracer's still-open windows (`Tracer::open_stalls`) — that is what lets
 //! it flag a Fig. 9 wedge long before the run ends.
@@ -355,9 +355,9 @@ impl Monitor {
 
     /// Consume the trace events appended since the last poll (plus the
     /// tracer's still-open stall windows) and run every check. Returns the
-    /// number of violations detected by *this* poll — so
-    /// `monitor.poll(&s.tracer) > 0` is a ready-made `run_until`
-    /// predicate that stops a run at the first violation.
+    /// number of violations detected by *this* poll — so checking
+    /// `monitor.poll(&sys.tracer) > 0` after each `run` leg stops a run at
+    /// the first violation.
     pub fn poll(&mut self, tracer: &Tracer) -> usize {
         let before = self.violations.len();
         let dropped = tracer.events_dropped();

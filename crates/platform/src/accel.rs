@@ -7,6 +7,7 @@
 //! entirely the gateways' business. The per-stream kernel context is
 //! installed/removed over the configuration bus by the entry gateway.
 
+use crate::trace::Tracer;
 use crate::types::{Sample, StreamKernel};
 use streamgate_ring::{CreditRx, CreditTx, DualRing, NodeId};
 
@@ -18,6 +19,9 @@ pub struct AccelId(pub usize);
 pub struct AcceleratorTile {
     /// Diagnostic name.
     pub name: String,
+    /// Index used to label this tile's trace events (set by
+    /// [`crate::system::System::add_accel`]).
+    pub(crate) trace_id: u32,
     /// Ring station of this tile.
     pub node: NodeId,
     /// Input hardware FIFO (2-deep NI buffer, credit flow-controlled).
@@ -34,8 +38,14 @@ pub struct AcceleratorTile {
     /// Latest cycle fully accounted by closed-form cascade commits
     /// (see [`AcceleratorTile::fused_covered`]).
     fused_covered: u64,
+    /// End of the firing before the first closed-form commit since the
+    /// engine last looked (see [`AcceleratorTile::take_prior_busy_until`]).
+    prior_busy_until: Option<u64>,
     /// Output sample waiting for a credit.
     pending_out: Option<Sample>,
+    /// While `rx` is non-empty: a cycle from which the per-cycle tile has
+    /// held buffered input continuously (activity tracing only).
+    rx_since: u64,
     /// Total busy cycles (for utilisation reports).
     pub busy_cycles: u64,
     /// Total samples consumed.
@@ -61,6 +71,7 @@ impl AcceleratorTile {
     ) -> Self {
         AcceleratorTile {
             name: name.into(),
+            trace_id: 0,
             node,
             rx: CreditRx::new(node, upstream, rx_stream, ni_depth),
             tx: CreditTx::new(node, downstream, tx_stream, ni_depth),
@@ -68,7 +79,9 @@ impl AcceleratorTile {
             cycles_per_sample,
             busy_until: 0,
             fused_covered: 0,
+            prior_busy_until: None,
             pending_out: None,
+            rx_since: 0,
             busy_cycles: 0,
             samples_in: 0,
             samples_out: 0,
@@ -140,6 +153,9 @@ impl AcceleratorTile {
 
     /// Advance one cycle: poll the NI, process, forward.
     pub fn step(&mut self, ring: &mut DualRing<Sample>, now: u64) {
+        if self.rx.is_empty() {
+            self.rx_since = now;
+        }
         self.rx.poll_data(ring);
         self.tx.poll_credits(ring);
 
@@ -167,6 +183,7 @@ impl AcceleratorTile {
             return;
         }
         let s = self.rx.pop(ring).expect("non-empty rx");
+        self.rx_since = now;
         self.samples_in += 1;
         self.busy_until = now + self.cycles_per_sample;
         self.busy_cycles += 1;
@@ -185,16 +202,34 @@ impl AcceleratorTile {
     /// exclusive access to this tile's NI endpoints within the window and
     /// that `ring.cycle() == from`.
     ///
+    /// With a full trace, each consumed sample's per-cycle activity (not
+    /// [`AcceleratorTile::is_drained`]) is reported to `tracer`: from its
+    /// poll until its firing ends and its output has left. `polled_since`
+    /// is when the per-cycle tile would have polled the oldest flit
+    /// polled here.
+    ///
     /// Returns `(covered, horizon)`: state and accounting are exactly what
     /// `covered − from` per-cycle steps would have produced, and `horizon`
     /// is the tile's next decision cycle (`≥ covered` unless the tile
     /// degraded to per-cycle semantics on a credit stall, in which case
     /// `horizon == covered` and the engine re-invokes next cycle, exactly
     /// like the exhaustive polling loop).
-    pub fn run_span(&mut self, ring: &mut DualRing<Sample>, from: u64, to: u64) -> (u64, u64) {
+    pub fn run_span(
+        &mut self,
+        ring: &mut DualRing<Sample>,
+        from: u64,
+        to: u64,
+        polled_since: u64,
+        tracer: &mut Tracer,
+    ) -> (u64, u64) {
         debug_assert!(from < to);
         debug_assert_eq!(ring.cycle(), from);
+        let traced = tracer.is_full();
+        let was_empty = self.rx.is_empty();
         self.rx.poll_data(ring);
+        if was_empty && !self.rx.is_empty() {
+            self.rx_since = polled_since;
+        }
         self.tx.poll_credits(ring);
 
         // A sample finished before this window forwards at `from` (the
@@ -213,6 +248,11 @@ impl AcceleratorTile {
             let sent = self.tx.send_at(ring, out, from);
             debug_assert!(sent);
             self.samples_out += 1;
+            if traced {
+                // Held since its firing began, gone at the end of `from`.
+                let fired_at = self.busy_until - self.cycles_per_sample;
+                tracer.accel_active(self.trace_id as usize, fired_at, from);
+            }
             fired = true;
         }
 
@@ -236,7 +276,16 @@ impl AcceleratorTile {
             self.busy_until = c + self.cycles_per_sample;
             self.busy_cycles += 1;
             let kernel = self.kernel.as_mut().expect("kernel checked above");
-            if let Some(out) = kernel.process(s) {
+            let out = kernel.process(s);
+            if traced {
+                // Buffered since `rx_since`, then busy firing (and holding
+                // any output at least through `c`).
+                let held = if out.is_some() { 1 } else { 0 };
+                let until = c + self.cycles_per_sample.max(held);
+                tracer.accel_active(self.trace_id as usize, self.rx_since, until);
+                self.rx_since = c;
+            }
+            if let Some(out) = out {
                 // First forward attempt is the step after the consume. When
                 // that step falls outside this window (`c + 1 == to`, e.g.
                 // the end of the run), hold the output so the attempt is
@@ -269,6 +318,23 @@ impl AcceleratorTile {
         (covered, self.horizon(covered))
     }
 
+    /// Report to a full trace the activity still open when an interval
+    /// run stops at `now`: buffered input, an output waiting for credits,
+    /// and parked flits the per-cycle tile polled at `parked_since`
+    /// (`u64::MAX`: none).
+    pub(crate) fn report_open_activity(&self, tracer: &mut Tracer, parked_since: u64, now: u64) {
+        let id = self.trace_id as usize;
+        if !self.rx.is_empty() {
+            tracer.accel_active(id, self.rx_since, now);
+        }
+        if self.pending_out.is_some() {
+            tracer.accel_active(id, self.busy_until - self.cycles_per_sample, now);
+        }
+        if parked_since < now {
+            tracer.accel_active(id, parked_since, now);
+        }
+    }
+
     /// Firing end of the in-flight (or last) firing — exclusive.
     pub fn busy_until(&self) -> u64 {
         self.busy_until
@@ -298,6 +364,7 @@ impl AcceleratorTile {
             "fused consume past a pending output"
         );
         debug_assert!(self.busy_until <= arrival, "fused consume mid-firing");
+        self.prior_busy_until.get_or_insert(self.busy_until);
         self.samples_in += 1;
         self.busy_until = arrival + self.cycles_per_sample;
         // Per-cycle accrual: +1 on the consume cycle, +1 per busy-wait
@@ -308,6 +375,14 @@ impl AcceleratorTile {
             .as_mut()
             .expect("fused consume without a kernel")
             .process(s)
+    }
+
+    /// End of the firing that preceded the closed-form commits made since
+    /// the last call, if any were made. An engine raising its
+    /// accounted-through marker to [`AcceleratorTile::fused_covered`] must
+    /// first replay that firing's busy tail up to here, if it deferred it.
+    pub(crate) fn take_prior_busy_until(&mut self) -> Option<u64> {
+        self.prior_busy_until.take()
     }
 
     /// Bookkeeping for a forward committed in closed form by the cascade
@@ -349,8 +424,9 @@ impl AcceleratorTile {
     /// is left to consume or forward. Returns `u64::MAX` when no such
     /// flip is ahead (work still buffered, or the flip is already in the
     /// past at `next`). Pure time passage is invisible to [`horizon`],
-    /// so a tracing engine uses this to schedule an observation at the
-    /// exact cycle the drain transition becomes visible.
+    /// so a gateway waiting for its chain to drain uses this to schedule
+    /// its completion check at the exact cycle the transition becomes
+    /// visible.
     ///
     /// [`horizon`]: AcceleratorTile::horizon
     pub fn drain_cycle(&self, next: u64) -> u64 {

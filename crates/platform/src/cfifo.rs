@@ -38,6 +38,10 @@ pub struct CFifo {
     /// Maximum occupancy ever reached (always maintained — one compare per
     /// push — so the observability layer can report buffer sizing margins).
     hwm: usize,
+    /// `(cycle, mark)` per cycle that raised the high-water mark, kept
+    /// while a traced interval run needs them (see
+    /// [`CFifo::start_hwm_marks`]).
+    hwm_marks: Option<Vec<(u64, usize)>>,
 }
 
 impl CFifo {
@@ -59,6 +63,7 @@ impl CFifo {
             trace: None,
             trace_dropped: 0,
             hwm: 0,
+            hwm_marks: None,
         }
     }
 
@@ -87,6 +92,20 @@ impl CFifo {
     /// Highest occupancy ever reached.
     pub fn high_water(&self) -> usize {
         self.hwm
+    }
+
+    /// Start recording the cycles that raise the high-water mark, seeded
+    /// with the current mark at `now`. An engine that commits pushes ahead
+    /// of the clock uses these to report each rise at the cycle the
+    /// per-cycle observation would.
+    pub(crate) fn start_hwm_marks(&mut self, now: u64) {
+        self.hwm_marks = Some(vec![(now, self.hwm)]);
+    }
+
+    /// Stop recording and return the marks: one `(cycle, mark)` per cycle
+    /// that raised the mark (the last value of that cycle), the seed first.
+    pub(crate) fn take_hwm_marks(&mut self) -> Vec<(u64, usize)> {
+        self.hwm_marks.take().unwrap_or_default()
     }
 
     /// Capacity in samples.
@@ -125,7 +144,15 @@ impl CFifo {
         }
         self.buf.push_back(s);
         self.pushed += 1;
-        self.hwm = self.hwm.max(self.buf.len());
+        if self.buf.len() > self.hwm {
+            self.hwm = self.buf.len();
+            if let Some(m) = &mut self.hwm_marks {
+                match m.last_mut() {
+                    Some(last) if last.0 == now => last.1 = self.hwm,
+                    _ => m.push((now, self.hwm)),
+                }
+            }
+        }
         if let Some(t) = &mut self.trace {
             if t.len() >= 2 * Self::TRACE_WINDOW {
                 t.drain(..Self::TRACE_WINDOW);

@@ -161,6 +161,10 @@ pub struct GatewayPair {
     active: Option<usize>,
     rr_next: usize,
     state: GwState,
+    /// Verdict of the last idle admission scan: some stream with a full
+    /// input block was held back solely by the check-for-space test.
+    /// [`GatewayPair::skip`] replays it over quiet idle cycles.
+    space_blocked: bool,
     dma_tx: CreditTx,
     exit_rx: CreditRx<Sample>,
     /// Samples of the current block already pushed to the output FIFO.
@@ -222,6 +226,7 @@ impl GatewayPair {
             active: None,
             rr_next: 0,
             state: GwState::Idle,
+            space_blocked: false,
             dma_tx: CreditTx::new(entry_node, first_accel_node, first_stream, ni_depth),
             exit_rx: CreditRx::new(exit_node, last_accel_node, last_stream, ni_depth),
             block_received: 0,
@@ -668,6 +673,7 @@ impl GatewayPair {
         match self.state {
             GwState::Idle => {
                 let (mut picked, space_blocked) = self.admission_scan(fifos);
+                self.space_blocked = space_blocked;
                 if self.shared_chain && picked.is_some() && !self.chain_free(accels, now) {
                     // Another pair owns the chain: wait. The horizon keeps
                     // this gateway stepping per-cycle (an admissible stream
@@ -826,37 +832,31 @@ impl GatewayPair {
         h.min(eh)
     }
 
-    /// Account for the skipped cycles `[from, to)` — the bulk equivalent
-    /// of stepping through them, valid because the caller guarantees `to`
+    /// Account for the quiet cycles `[from, to)` — the bulk equivalent of
+    /// stepping through them, valid because the caller guarantees `to`
     /// does not exceed the pair's [`GatewayPair::horizon`]. Only the
-    /// `Idle` state accrues anything per cycle (idle time, and
-    /// check-for-space stall attribution).
-    pub fn skip(&mut self, fifos: &[CFifo], tracer: &mut Tracer, from: u64, to: u64) {
+    /// `Idle` state accrues anything per cycle: idle time, and
+    /// check-for-space stall attribution. The stall verdict is replayed
+    /// from the last idle admission scan instead of re-scanning: the
+    /// pair's FIFOs are frozen until a watcher wakes it, so every skipped
+    /// cycle's scan would return that verdict — and a re-scan at the wake
+    /// cycle could already see the waking push.
+    pub fn skip(&mut self, tracer: &mut Tracer, from: u64, to: u64) {
         debug_assert!(to > from);
         if self.state == GwState::Idle {
-            let (picked, space_blocked) = self.admission_scan(fifos);
-            debug_assert!(picked.is_none(), "skipped over an admissible cycle");
             self.idle_cycles += to - from;
-            if space_blocked {
+            if self.space_blocked {
                 tracer.stall_span(self.trace_id, StallCause::CheckForSpace, from, to);
             }
         }
     }
 
-    /// Bulk accounting for quiet cycles `[from, to)` in the span engine.
-    /// Unlike [`GatewayPair::skip`] this does not re-run the admission scan:
-    /// the span engine flushes lazily at the *wake* cycle, when a producer's
-    /// push may already be visible, so the scan could legitimately differ
-    /// from what it returned during the flushed cycles. Only `Idle` accrues
-    /// anything per cycle. Untraced runs have no stall attribution to
-    /// replay; flight-recorder runs (which also take the span path) accept
-    /// that check-for-space *idle* windows go unattributed here — block
-    /// lifecycle, DMA-credit and exit-full events are still committed
-    /// exactly by [`GatewayPair::run_span`].
-    pub fn skip_quiet(&mut self, from: u64, to: u64) {
-        debug_assert!(to > from);
+    /// Refresh the idle verdict [`GatewayPair::skip`] replays from the
+    /// current FIFO state: when a block completes, and when an engine run
+    /// starts (the stream table and the FIFOs may have changed since).
+    pub(crate) fn rescan(&mut self, fifos: &[CFifo]) {
         if self.state == GwState::Idle {
-            self.idle_cycles += to - from;
+            self.space_blocked = self.admission_scan(fifos).1;
         }
     }
 
@@ -913,6 +913,7 @@ impl GatewayPair {
         match self.state {
             GwState::Idle => {
                 let (mut picked, space_blocked) = self.admission_scan(fifos);
+                self.space_blocked = space_blocked;
                 if self.shared_chain && picked.is_some() && !self.chain_free(accels, from) {
                     picked = None;
                 }
@@ -1232,6 +1233,7 @@ impl GatewayPair {
             // per-cycle order within a step).
             if self.drained_at(accels, last, t) {
                 self.complete_block(accels, tracer, active, t);
+                self.rescan(fifos);
                 return (t + 1, self.horizon(fifos, accels, t + 1));
             }
             if mutated {

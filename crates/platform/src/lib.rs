@@ -31,6 +31,6 @@ pub use gateway::{BlockRecord, GatewayPair, StreamConfig};
 pub use processor::{
     ProcessorTile, RateSource, SinkTask, SoftwareTask, StereoMatrixTask, TaskWake,
 };
-pub use system::{EngineStats, StepMode, System};
+pub use system::{EngineStats, StepMode, StopWhen, System};
 pub use trace::{chrome_trace_json, StallCause, TraceEvent, TraceNames, Tracer};
 pub use types::{DownsampleKernel, PassthroughKernel, Sample, ScaleKernel, StreamKernel};

@@ -8,20 +8,21 @@
 //!
 //! Two [`StepMode`]s drive the clock:
 //!
-//! * [`StepMode::Exhaustive`] — the lock-step reference: every component
-//!   is stepped every cycle.
-//! * [`StepMode::EventDriven`] (the default) — after each real step the
-//!   engine asks every component for its *quiescence horizon* (the
-//!   earliest future cycle at which it could do more than skip-replayable
-//!   bookkeeping, absent external input) and jumps the clock straight to
-//!   the minimum, replaying the skipped interval's accounting in bulk
-//!   (`skip` on each component). When only the *ring* blocks a jump
-//!   (flits in flight while every tile is quiescent) the ring is advanced
-//!   alone — cheap ring-only steps plus bulk rotations — until the next
-//!   delivery wakes a tile. Whenever a tile reports "now" the engine
-//!   degenerates to single-cycle stepping, so the two modes are
-//!   cycle-exact equivalents: identical block schedules, FIFO contents,
-//!   counters and trace logs.
+//! * [`StepMode::Exhaustive`] — the specification: [`System::step`]
+//!   advances every component every cycle, in the lock-step order.
+//! * [`StepMode::EventDriven`] (the default) — the implementation: the
+//!   interval (span) engine advances each tile across whole windows with
+//!   closed-form arithmetic, invokes only the tiles due at a cycle, and
+//!   jumps the clock over stretches where only the ring (or nothing)
+//!   moves. It serves every tracer posture — a full trace's periodic
+//!   samples cut its windows, the rest of the trace is reported at the
+//!   cycles its closed-form actions give — and stops
+//!   [`System::run_until`] on a typed [`StopWhen`] condition. Block
+//!   schedules, FIFO contents, counters, ring statistics, trace logs and
+//!   stop cycles are bit-identical to the specification's.
+//!
+//! There is no third path: both [`System::run`] and
+//! [`System::run_until`] dispatch on the mode alone.
 
 use crate::accel::{AccelId, AcceleratorTile};
 use crate::cfifo::{CFifo, FifoId};
@@ -61,19 +62,63 @@ impl StepMode {
     }
 }
 
-/// How the event-driven engine spent the simulated cycles (all three
-/// counters sum to the cycles run). Useful for validating that a workload
-/// actually benefits from time-skipping and for benchmark reports.
+/// How the engines spent the simulated cycles (all three counters sum to
+/// the cycles run). Useful for validating that a workload actually
+/// benefits from interval execution and for benchmark reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Cycles on which at least one tile acted: full lock-step steps in
-    /// the per-cycle engine, tile-invocation cycles in the span engine
+    /// Cycles on which at least one tile acted: every step of the
+    /// exhaustive engine, tile-invocation cycles in the span engine
     /// (which touches only the tiles actually due that cycle).
     pub full_steps: u64,
     /// Cycles where only the ring was advanced (every tile quiescent).
     pub ring_only_cycles: u64,
     /// Cycles jumped over entirely (bulk bookkeeping, no stepping).
     pub skipped_cycles: u64,
+}
+
+/// A condition [`System::run_until`] stops on: a predicate over the
+/// lock-step state at a cycle boundary. Each can change only when one of
+/// its *subject* tiles acts — the gateway pair named, or the tiles that
+/// push to or pop from the FIFO — which is what lets the span engine stop
+/// on the exhaustive engine's cycle without stepping per cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopWhen {
+    /// Gateway pair `g` has no block in flight.
+    GatewayIdle(usize),
+    /// Gateway pair `g` has a block in flight.
+    GatewayBusy(usize),
+    /// Stream `stream` of gateway pair `gateway` completed at least `n`
+    /// blocks.
+    BlocksDone {
+        /// Gateway pair index.
+        gateway: usize,
+        /// Stream index within the pair.
+        stream: usize,
+        /// Completed-block threshold.
+        n: u64,
+    },
+    /// C-FIFO `fifo` holds at least `len` samples.
+    FifoLen {
+        /// FIFO index.
+        fifo: usize,
+        /// Occupancy threshold.
+        len: usize,
+    },
+}
+
+impl StopWhen {
+    /// True when the condition holds in `sys`'s current state.
+    pub(crate) fn holds(&self, sys: &System) -> bool {
+        match *self {
+            StopWhen::GatewayIdle(g) => sys.gateways[g].is_idle(),
+            StopWhen::GatewayBusy(g) => !sys.gateways[g].is_idle(),
+            StopWhen::BlocksDone { gateway, stream, n } => {
+                sys.gateways[gateway].stream(stream).blocks_done >= n
+            }
+            StopWhen::FifoLen { fifo, len } => sys.fifos[fifo].len() >= len,
+        }
+    }
 }
 
 /// A complete simulated MPSoC.
@@ -97,23 +142,18 @@ pub struct System {
     pub step_mode: StepMode,
     /// How the engine spent the simulated cycles so far.
     pub engine_stats: EngineStats,
-    /// Last observed per-accelerator activity status (for change-driven
-    /// trace emission).
-    accel_active_seen: Vec<bool>,
     cycle: u64,
 }
 
-/// Flattened hot state of the event-driven engine, rebuilt at the start of
-/// every run (construction is O(tiles) and the vectors are reused across
-/// iterations).
+/// Flattened hot state of the span engine, rebuilt at the start of every
+/// run (construction is O(tiles)).
 ///
 /// All per-tile quiescence horizons live in one struct-of-arrays `u64`
-/// vector (`h`, laid out processors | gateways | accelerators), so the
-/// global horizon is a single branch-free fold and per-kind dispatch is
-/// an index-range check instead of an enum match. `acct` tracks, per
-/// tile, the first cycle whose skip bookkeeping has *not* yet been
-/// replayed: the engine defers `skip` calls and flushes them in bulk
-/// right before a tile steps (and at run exit), which is exact because
+/// vector (`h`, laid out processors | gateways | accelerators), so per-kind
+/// dispatch is an index-range check instead of an enum match. `acct`
+/// tracks, per tile, the first cycle whose bookkeeping has *not* yet been
+/// committed: the engine defers `skip` calls and replays them in bulk
+/// right before a tile is invoked (and at run exit), which is exact because
 /// every tile's bulk `skip(from, to)` is defined to equal the composition
 /// of its single-cycle skips.
 struct EngineHot {
@@ -130,8 +170,6 @@ struct EngineHot {
     /// Accelerator index → gateways whose chain contains it (their drain
     /// horizons depend on this accelerator's state).
     owners: Vec<Vec<usize>>,
-    /// Scratch: accelerators stepped in the current span cycle.
-    stepped: Vec<usize>,
 }
 
 /// Per-run wiring of the span engine: FIFO watcher lists, per-tile
@@ -152,20 +190,6 @@ struct SpanWiring {
     vers: Vec<u64>,
 }
 
-impl EngineHot {
-    /// Minimum cached horizon over processors and gateways only.
-    fn pg_min(&self) -> u64 {
-        self.h[..self.acc_base]
-            .iter()
-            .fold(u64::MAX, |m, &v| m.min(v))
-    }
-
-    /// Minimum cached horizon over every tile.
-    fn tile_min(&self) -> u64 {
-        self.h.iter().fold(u64::MAX, |m, &v| m.min(v))
-    }
-}
-
 impl System {
     /// New system with a ring of `ring_nodes` stations.
     pub fn new(ring_nodes: usize) -> Self {
@@ -178,7 +202,6 @@ impl System {
             tracer: Tracer::disabled(),
             step_mode: StepMode::default(),
             engine_stats: EngineStats::default(),
-            accel_active_seen: Vec::new(),
             cycle: 0,
         }
     }
@@ -211,14 +234,16 @@ impl System {
         }
     }
 
-    /// Turn on the always-affordable flight recorder: the same structured
-    /// events as [`System::enable_tracing`], but only the most recent
-    /// `capacity` are retained (see [`Tracer::flight_recorder`]). Running
-    /// stall totals stay exact regardless of eviction. Unlike full
-    /// tracing, the recorder keeps the event-driven engine on its
-    /// closed-form span path, so leaving it on costs almost nothing —
-    /// that is the point: when a `Monitor` flags a violation mid-run, the
-    /// recent history needed for a postmortem is already there.
+    /// Turn on the always-affordable flight recorder: the gateways'
+    /// block-lifecycle and stall events of [`System::enable_tracing`], but
+    /// only the most recent `capacity` are retained (see
+    /// [`Tracer::flight_recorder`]). Running stall totals stay exact
+    /// regardless of eviction. In the span engine the recorder records no
+    /// observation-pass events (periodic samples, accelerator activity,
+    /// high-water marks), so it needs no window cuts and no reordering:
+    /// leaving it on costs almost nothing — that is the point: when a
+    /// `Monitor` flags a violation mid-run, the recent history needed for
+    /// a postmortem is already there.
     ///
     /// A no-op when a full trace (or profile) is already enabled: the
     /// complete log subsumes the recorder.
@@ -280,7 +305,8 @@ impl System {
     }
 
     /// Add an accelerator tile; returns its id.
-    pub fn add_accel(&mut self, a: AcceleratorTile) -> AccelId {
+    pub fn add_accel(&mut self, mut a: AcceleratorTile) -> AccelId {
+        a.trace_id = self.accels.len() as u32;
         self.accels.push(a);
         AccelId(self.accels.len() - 1)
     }
@@ -326,19 +352,13 @@ impl System {
         self.cycle += 1;
     }
 
-    /// Record system-wide observations for cycle `now` (tracing enabled).
-    /// Change-driven: accelerator activity and high-water marks are
-    /// emitted only when they actually changed, which also makes skipped
-    /// intervals (where state is provably frozen) observation-free.
+    /// Record system-wide observations for cycle `now` (tracing enabled):
+    /// accelerator activity, FIFO high-water marks (emitted only when they
+    /// grew) and, at sample points, the periodic counters.
     fn observe(&mut self, now: u64) {
-        if self.accel_active_seen.len() < self.accels.len() {
-            self.accel_active_seen.resize(self.accels.len(), false);
-        }
-        for i in 0..self.accels.len() {
-            let active = !self.accels[i].is_drained(now);
-            if active != self.accel_active_seen[i] {
-                self.accel_active_seen[i] = active;
-                self.tracer.accel_edge(i, active, now);
+        for (i, a) in self.accels.iter().enumerate() {
+            if !a.is_drained(now) {
+                self.tracer.accel_active(i, now, now + 1);
             }
         }
         for (i, f) in self.fifos.iter().enumerate() {
@@ -371,42 +391,37 @@ impl System {
         });
     }
 
-    /// Recompute the cached horizon of processor `i` for the current cycle.
-    fn recompute_proc(&self, hot: &mut EngineHot, i: usize) {
-        hot.h[i] = self.processors[i].horizon(&self.fifos, self.cycle);
-    }
-
-    /// Recompute the cached horizon of gateway `j` for the current cycle.
-    fn recompute_gw(&self, hot: &mut EngineHot, j: usize) {
-        hot.h[hot.gw_base + j] = self.gateways[j].horizon(&self.fifos, &self.accels, self.cycle);
-    }
-
-    /// Recompute the cached horizon of accelerator `k` for the current
-    /// cycle, including the drain-flip pin: drain flips happen by pure
-    /// time passage and are invisible to `horizon`; when tracing they are
-    /// observation events and the flip cycle must be stepped (see
-    /// [`System::observe`]).
-    fn recompute_acc(&self, hot: &mut EngineHot, k: usize) {
-        let next = self.cycle;
-        let a = &self.accels[k];
-        let mut v = a.horizon(next);
-        if self.tracer.is_enabled() && self.accel_active_seen.get(k).copied().unwrap_or(false) {
-            v = v.min(a.drain_cycle(next));
-        }
-        hot.h[hot.acc_base + k] = v;
-    }
-
-    /// Build the event engine's flattened hot state at the current cycle:
+    /// Build the span engine's flattened hot state at the current cycle:
     /// static node/ownership maps plus a fresh horizon for every tile.
-    fn hot_init(&self) -> EngineHot {
+    /// Idle gateways re-scan first: the stream table and the FIFOs may have
+    /// changed between runs, and their quiet cycles replay the scan.
+    fn hot_init(&mut self) -> EngineHot {
         let (np, ng, na) = (
             self.processors.len(),
             self.gateways.len(),
             self.accels.len(),
         );
-        let mut hot = EngineHot {
-            h: vec![u64::MAX; np + ng + na],
-            acct: vec![self.cycle; np + ng + na],
+        for g in &mut self.gateways {
+            g.rescan(&self.fifos);
+        }
+        let now = self.cycle;
+        let mut h = Vec::with_capacity(np + ng + na);
+        h.extend(self.processors.iter().map(|p| p.horizon(&self.fifos, now)));
+        h.extend(
+            self.gateways
+                .iter()
+                .map(|g| g.horizon(&self.fifos, &self.accels, now)),
+        );
+        h.extend(self.accels.iter().map(|a| a.horizon(now)));
+        let mut owners = vec![Vec::new(); na];
+        for (j, g) in self.gateways.iter().enumerate() {
+            for &a in &g.chain {
+                owners[a.0].push(j);
+            }
+        }
+        EngineHot {
+            h,
+            acct: vec![now; np + ng + na],
             gw_base: np,
             acc_base: np + ng,
             gw_nodes: self
@@ -414,386 +429,7 @@ impl System {
                 .iter()
                 .map(|g| (g.entry_node, g.exit_node))
                 .collect(),
-            owners: vec![Vec::new(); na],
-            stepped: Vec::with_capacity(na),
-        };
-        for (j, g) in self.gateways.iter().enumerate() {
-            for &a in &g.chain {
-                hot.owners[a.0].push(j);
-            }
-        }
-        for i in 0..np {
-            self.recompute_proc(&mut hot, i);
-        }
-        for j in 0..ng {
-            self.recompute_gw(&mut hot, j);
-        }
-        for k in 0..na {
-            self.recompute_acc(&mut hot, k);
-        }
-        hot
-    }
-
-    /// Replay deferred processor bookkeeping up to `to` (exclusive).
-    /// Processor skips are independent of FIFO state, so they can be
-    /// deferred arbitrarily and replayed in bulk.
-    fn flush_procs(&mut self, hot: &mut EngineHot, to: u64) {
-        for i in 0..self.processors.len() {
-            if hot.acct[i] < to {
-                self.processors[i].skip(hot.acct[i], to);
-                hot.acct[i] = to;
-            }
-        }
-    }
-
-    /// Replay deferred gateway bookkeeping up to `to` (exclusive). Exact
-    /// only while the C-FIFOs still hold the deferred interval's state:
-    /// gateway stall attribution reads them, so this must run before any
-    /// processor or gateway steps again (the engine flushes at the top of
-    /// every `pg_cycle`, and per cycle/chunk when tracing so stall events
-    /// keep the exhaustive order).
-    fn flush_gws(&mut self, hot: &mut EngineHot, to: u64) {
-        for j in 0..self.gateways.len() {
-            let t = hot.gw_base + j;
-            if hot.acct[t] < to {
-                self.gateways[j].skip(&self.fifos, &mut self.tracer, hot.acct[t], to);
-                hot.acct[t] = to;
-            }
-        }
-    }
-
-    /// Replay deferred accelerator bookkeeping up to `to` (exclusive).
-    fn flush_accels(&mut self, hot: &mut EngineHot, to: u64) {
-        for k in 0..self.accels.len() {
-            let t = hot.acc_base + k;
-            if hot.acct[t] < to {
-                self.accels[k].skip(hot.acct[t], to);
-                hot.acct[t] = to;
-            }
-        }
-    }
-
-    /// Replay all deferred bookkeeping up to `to` (exclusive), in the
-    /// exhaustive component order.
-    fn flush_all(&mut self, hot: &mut EngineHot, to: u64) {
-        self.flush_procs(hot, to);
-        self.flush_gws(hot, to);
-        self.flush_accels(hot, to);
-    }
-
-    /// Execute one cycle on the processor/gateway path: step exactly the
-    /// tiles that can act, account the rest. The cycle-exactness argument
-    /// is the same as the original selective step: a tile steps when its
-    /// cached horizon has arrived or a ring delivery awaits it, and once
-    /// any processor or gateway steps, every later processor/gateway
-    /// steps too (`cascade`) because it may read a C-FIFO the earlier
-    /// tile wrote this same cycle. Accelerators talk only through the
-    /// ring (one-cycle latency), so each is decided independently.
-    ///
-    /// Since this is the only place C-FIFOs or chain configurations can
-    /// change, every cached horizon is refreshed afterwards.
-    fn pg_cycle(&mut self, hot: &mut EngineHot) {
-        let now = self.cycle;
-        self.engine_stats.full_steps += 1;
-        // Deferred gateway accounting must be replayed against the
-        // interval's frozen FIFO state, before this cycle's steps mutate
-        // it.
-        self.flush_gws(hot, now);
-        let mut cascade = false;
-        for i in 0..self.processors.len() {
-            if cascade || hot.h[i] <= now {
-                if hot.acct[i] < now {
-                    self.processors[i].skip(hot.acct[i], now);
-                }
-                self.processors[i].step(&mut self.fifos, now);
-                hot.acct[i] = now + 1;
-                cascade = true;
-            }
-            // Non-stepping processors stay deferred (FIFO-independent).
-        }
-        for j in 0..self.gateways.len() {
-            let t = hot.gw_base + j;
-            let must = cascade
-                || hot.h[t] <= now
-                || self.ring.rx_pending(self.gateways[j].exit_node) > 0
-                || self.ring.rx_pending(self.gateways[j].entry_node) > 0;
-            if must {
-                let g = &mut self.gateways[j];
-                g.step(
-                    &mut self.ring,
-                    &mut self.fifos,
-                    &mut self.accels,
-                    &mut self.tracer,
-                    now,
-                );
-                cascade = true;
-            } else {
-                // Account immediately at the exhaustive loop position:
-                // the admission scan sees the FIFOs exactly as the
-                // lock-step reference would (post earlier steppers).
-                self.gateways[j].skip(&self.fifos, &mut self.tracer, now, now + 1);
-            }
-            hot.acct[t] = now + 1;
-        }
-        for k in 0..self.accels.len() {
-            let t = hot.acc_base + k;
-            if hot.h[t] <= now || self.ring.rx_pending(self.accels[k].node) > 0 {
-                if hot.acct[t] < now {
-                    self.accels[k].skip(hot.acct[t], now);
-                }
-                self.accels[k].step(&mut self.ring, now);
-                hot.acct[t] = now + 1;
-            }
-        }
-        self.ring.step();
-        if self.tracer.is_enabled() {
-            self.observe(now);
-        }
-        self.cycle = now + 1;
-        // Processor horizons are computed from `pos_in_period`, which is
-        // only meaningful when the tile's accounting is current — replay
-        // any deferred slots before refreshing.
-        self.flush_procs(hot, self.cycle);
-        for i in 0..self.processors.len() {
-            self.recompute_proc(hot, i);
-        }
-        for j in 0..self.gateways.len() {
-            self.recompute_gw(hot, j);
-        }
-        for k in 0..self.accels.len() {
-            self.recompute_acc(hot, k);
-        }
-    }
-
-    /// Replay a batched span of adjacent-hop deliveries: while every
-    /// processor and gateway is provably quiescent and no flit waits at a
-    /// gateway node, only the acting accelerators and the ring are
-    /// stepped — the k flits of a multi-hop cascade are delivered in one
-    /// replayed span instead of one full-system wakeup per cycle.
-    /// Accelerators never touch C-FIFOs, so processor/gateway horizons
-    /// stay valid throughout; a stepped accelerator invalidates only its
-    /// own horizon and those of the gateways whose chain contains it
-    /// (which can pull the span end in, e.g. when a drain completes).
-    /// The span ends at the earliest processor/gateway horizon, or as
-    /// soon as a delivery lands at a node no accelerator polls. Returns
-    /// `true` if the clock advanced.
-    fn accel_span(&mut self, hot: &mut EngineHot, end: u64) -> bool {
-        let start = self.cycle;
-        let mut span_end = hot.pg_min().min(end);
-        let traced = self.tracer.is_enabled();
-        while self.cycle < span_end {
-            let now = self.cycle;
-            if self.ring.any_data_rx_pending()
-                && hot
-                    .gw_nodes
-                    .iter()
-                    .any(|&(e, x)| self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0)
-            {
-                break; // delivery for a gateway: pg path must run next
-            }
-            let mut acted = false;
-            for k in 0..self.accels.len() {
-                let t = hot.acc_base + k;
-                if hot.h[t] <= now || self.ring.rx_pending(self.accels[k].node) > 0 {
-                    if hot.acct[t] < now {
-                        self.accels[k].skip(hot.acct[t], now);
-                    }
-                    self.accels[k].step(&mut self.ring, now);
-                    hot.acct[t] = now + 1;
-                    hot.stepped.push(k);
-                    acted = true;
-                }
-            }
-            if acted {
-                if traced {
-                    // Per-cycle gateway accounting keeps stall events in
-                    // the exhaustive order relative to observations.
-                    self.flush_gws(hot, now + 1);
-                }
-                self.ring.step();
-                self.engine_stats.full_steps += 1;
-                if traced {
-                    self.observe(now);
-                }
-                self.cycle = now + 1;
-                for si in 0..hot.stepped.len() {
-                    let k = hot.stepped[si];
-                    self.recompute_acc(hot, k);
-                    for oi in 0..hot.owners[k].len() {
-                        let j = hot.owners[k][oi];
-                        // A stepped accelerator can only move a gateway
-                        // horizon through the `Draining` arm (the one
-                        // state where the horizon reads accel state) —
-                        // everywhere else the cached value stays exact.
-                        if self.gateways[j].horizon_tracks_accels() {
-                            self.recompute_gw(hot, j);
-                            span_end = span_end.min(hot.h[hot.gw_base + j]);
-                        }
-                    }
-                }
-                hot.stepped.clear();
-                if traced {
-                    // Observation state (activity edges) may have moved
-                    // drain-flip pins; keep every accel horizon exact.
-                    for k in 0..self.accels.len() {
-                        self.recompute_acc(hot, k);
-                    }
-                }
-            } else if self.ring.any_data_rx_pending() {
-                break; // flit parked at a node nobody here polls
-            } else {
-                let idle = self.ring.idle_steps();
-                if idle == 0 {
-                    // Backlogged injection or imminent ejection: the ring
-                    // must step this cycle, alone.
-                    if traced {
-                        self.flush_gws(hot, now + 1);
-                    }
-                    self.ring.step();
-                    self.engine_stats.ring_only_cycles += 1;
-                    self.cycle = now + 1;
-                    if traced {
-                        self.sample_range(now, now + 1);
-                    }
-                } else {
-                    // Nothing acts until the next accel horizon, the span
-                    // end, or the ring's next non-trivial cycle: jump.
-                    let next_acc = hot.h[hot.acc_base..]
-                        .iter()
-                        .fold(u64::MAX, |m, &v| m.min(v));
-                    let to = span_end.min(next_acc).min(now.saturating_add(idle));
-                    let k = to - now;
-                    self.ring.skip(k);
-                    if idle == u64::MAX {
-                        self.engine_stats.skipped_cycles += k;
-                    } else {
-                        self.engine_stats.ring_only_cycles += k;
-                    }
-                    self.cycle = to;
-                    if traced {
-                        self.flush_gws(hot, to);
-                        self.sample_range(now, to);
-                    }
-                }
-            }
-        }
-        self.cycle > start
-    }
-
-    /// Jump the clock from `self.cycle` to `target`. Valid only when
-    /// `target` does not exceed the minimum of the tile and ring
-    /// horizons: the interval is provably quiescent, so counters, stall
-    /// attribution and periodic trace samples come out exactly as if each
-    /// cycle had been stepped. Untraced tile bookkeeping is deferred to
-    /// the next flush point.
-    fn event_skip_to(&mut self, hot: &mut EngineHot, target: u64) {
-        let from = self.cycle;
-        debug_assert!(target > from);
-        self.engine_stats.skipped_cycles += target - from;
-        self.ring.skip(target - from);
-        if self.tracer.is_enabled() {
-            // Stall-window events for the interval precede its periodic
-            // counter samples, as in the exhaustive order.
-            self.flush_gws(hot, target);
-            self.sample_range(from, target);
-        }
-        self.cycle = target;
-    }
-
-    /// Emit the periodic counter samples for every sample point in
-    /// `[from, to)`. Exact whenever FIFO contents and ring counters hold
-    /// their cycle-`from` values across the interval (frozen tiles; ring
-    /// at most rotating in-flight flits).
-    fn sample_range(&mut self, from: u64, to: u64) {
-        let interval = self.tracer.sample_interval();
-        if interval == 0 {
-            return;
-        }
-        let mut m = from.next_multiple_of(interval);
-        while m < to {
-            self.sample_counters(m);
-            m += interval;
-        }
-    }
-
-    /// Fast-forward an interval during which only the *ring* has work:
-    /// every tile is quiescent until `target`, so instead of full-system
-    /// steps the ring alone is stepped (or bulk-rotated over pure-transit
-    /// stretches). Stops early at the first delivery (a flit landing in
-    /// an RX queue), since the owning tile must be stepped from the next
-    /// cycle on to poll it. Untraced tile bookkeeping is deferred; when
-    /// tracing, gateways are accounted chunk-wise so stall events keep
-    /// the exhaustive order relative to periodic samples.
-    fn event_ring_forward(&mut self, hot: &mut EngineHot, target: u64) {
-        let from = self.cycle;
-        let mut t = from;
-        let traced = self.tracer.is_enabled();
-        while t < target && !self.ring.any_data_rx_pending() {
-            let idle = self.ring.idle_steps();
-            if idle == u64::MAX {
-                break; // ring drained entirely; the outer loop skips on
-            }
-            let t2 = if idle == 0 {
-                self.ring.step();
-                t + 1
-            } else {
-                let k = idle.min(target - t);
-                self.ring.skip(k);
-                t + k
-            };
-            if traced {
-                self.flush_gws(hot, t2);
-                self.sample_range(t, t2);
-            }
-            t = t2;
-        }
-        self.engine_stats.ring_only_cycles += t - from;
-        self.cycle = t;
-    }
-
-    /// The event-driven engine: one loop serving both [`System::run`]
-    /// (`pred == None`) and [`System::run_until`]. Each iteration jumps
-    /// over the provably-quiescent interval (if any), then executes
-    /// either a batched accelerator span or a single processor/gateway
-    /// cycle. With a predicate, spans are disabled and all deferred
-    /// bookkeeping is flushed before every evaluation, so the predicate
-    /// observes exactly the lock-step per-cycle state.
-    fn event_run(&mut self, end: u64, mut pred: Option<&mut dyn FnMut(&System) -> bool>) -> bool {
-        let mut hot = self.hot_init();
-        while self.cycle < end {
-            if let Some(p) = pred.as_deref_mut() {
-                self.flush_all(&mut hot, self.cycle);
-                if p(self) {
-                    return true;
-                }
-            }
-            let hc = hot.tile_min();
-            let hr = self.cycle.saturating_add(self.ring.idle_steps());
-            let h = hc.min(hr).min(end);
-            if h > self.cycle {
-                self.event_skip_to(&mut hot, h);
-            } else if hc > self.cycle {
-                // Only the ring is busy: advance it alone.
-                self.event_ring_forward(&mut hot, hc.min(end));
-            }
-            if self.cycle >= end {
-                break;
-            }
-            let now = self.cycle;
-            let pg_due = hot.pg_min() <= now
-                || hot
-                    .gw_nodes
-                    .iter()
-                    .any(|&(e, x)| self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0);
-            if !pg_due && pred.is_none() && self.accel_span(&mut hot, end) {
-                continue;
-            }
-            self.pg_cycle(&mut hot);
-        }
-        self.flush_all(&mut hot, self.cycle);
-        match pred {
-            Some(p) => p(self),
-            None => false,
+            owners,
         }
     }
 
@@ -801,8 +437,10 @@ impl System {
     /// (reacts to mutations of) and touches (may mutate), as flat watcher
     /// lists plus a version snapshot for cheap mutation detection. A
     /// processor task that cannot enumerate its FIFO accesses reports
-    /// `None` and is wired conservatively to every FIFO.
-    fn span_wiring(&self, hot: &EngineHot) -> SpanWiring {
+    /// `None` and is wired conservatively to every FIFO. A FIFO an armed
+    /// stop condition reads (`stop_fifo`) counts as watched by the engine
+    /// itself, so every tile stops after mutating it.
+    fn span_wiring(&self, hot: &EngineHot, stop_fifo: Option<usize>) -> SpanWiring {
         let nf = self.fifos.len();
         let all: Vec<usize> = (0..nf).collect();
         let mut watchers: Vec<Vec<usize>> = vec![Vec::new(); nf];
@@ -830,7 +468,7 @@ impl System {
             }
             let mut m = vec![false; nf];
             for (f, ws) in watchers.iter().enumerate() {
-                m[f] = ws.iter().any(|&w| w != t);
+                m[f] = ws.iter().any(|&w| w != t) || stop_fifo == Some(f);
             }
             mask.push(m);
         }
@@ -925,13 +563,14 @@ impl System {
     /// accel→accel, last accel→exit, and each credit return — at ring
     /// distance 1 (a distance-1 flit injects and ejects inside a single
     /// ring step, so phantom and real flits can never interact), the
-    /// delivery log off (fused hops bypass it), and the gateway's
-    /// stations disjoint from every pair streaming over a *different*
-    /// chain (pairs sharing the chain are serialized by the chain mutex
-    /// and the feed-equality gates).
+    /// delivery log and full tracing off (fused hops bypass the log and
+    /// the accelerators' activity reports), and the gateway's stations
+    /// disjoint from every pair streaming over a *different* chain (pairs
+    /// sharing the chain are serialized by the chain mutex and the
+    /// feed-equality gates).
     fn set_fusion_eligibility(&mut self) {
         let ng = self.gateways.len();
-        let log_off = self.ring.delivery_log().is_none();
+        let log_off = self.ring.delivery_log().is_none() && !self.tracer.is_full();
         let stations: Vec<Vec<usize>> = self
             .gateways
             .iter()
@@ -973,13 +612,25 @@ impl System {
         }
     }
 
+    /// Window bound for tile `t` under an armed stop condition: the
+    /// condition's *subjects* run to `lim`, every other tile only through
+    /// the earliest cycle a subject may act (a subject's action is the
+    /// only thing that can make the condition hold).
+    fn stop_bound(hot: &EngineHot, subjects: &[usize], t: usize, lim: u64) -> u64 {
+        if subjects.contains(&t) {
+            return lim;
+        }
+        subjects
+            .iter()
+            .fold(lim, |b, &s| b.min(hot.h[s].saturating_add(1)))
+    }
+
     /// The interval (span) engine: advance every tile across whole
     /// quiescence-free windows with closed-form arithmetic instead of
     /// per-cycle stepping, producing bit-identical counters, FIFO
-    /// high-water marks and ring statistics. Used for untraced
-    /// event-driven runs without a predicate; tracing and predicates
-    /// fall back to [`System::event_run`], whose per-cycle observation
-    /// points they need.
+    /// contents and high-water marks, ring statistics and trace logs.
+    /// Runs to `end` — or, with `stop`, to the first cycle boundary at
+    /// which the condition holds — and returns whether it holds.
     ///
     /// Exactness rests on three rules:
     /// 1. every window freezes the cross-tile state its tile actually
@@ -997,22 +648,71 @@ impl System {
     ///    accounted cycle — by then consuming it is schedule-anchored
     ///    (`busy_until`, paced send/copy pointers), so late absorption is
     ///    observationally identical to per-cycle polling.
-    fn span_run(&mut self, end: u64) {
+    ///
+    /// Every window also ends by the cycle after a full trace's next
+    /// periodic sample, so [`System::sample_counters`] reads lock-step
+    /// state. An armed condition bounds windows by [`System::stop_bound`]
+    /// and, once a subject's action makes it hold, by that action's
+    /// boundary, where it is re-checked on the completed cycle.
+    fn span_run(&mut self, end: u64, stop: Option<StopWhen>) -> bool {
+        if stop.is_some_and(|s| s.holds(self)) {
+            return true;
+        }
         let mut hot = self.hot_init();
-        let mut wiring = self.span_wiring(&hot);
+        let stop_fifo = match stop {
+            Some(StopWhen::FifoLen { fifo, .. }) => Some(fifo),
+            _ => None,
+        };
+        let mut wiring = self.span_wiring(&hot, stop_fifo);
+        let subjects: Vec<usize> = match stop {
+            None => Vec::new(),
+            Some(
+                StopWhen::GatewayIdle(g)
+                | StopWhen::GatewayBusy(g)
+                | StopWhen::BlocksDone { gateway: g, .. },
+            ) => vec![hot.gw_base + g],
+            Some(StopWhen::FifoLen { fifo, .. }) => (0..hot.acc_base)
+                .filter(|&t| wiring.touched[t].contains(&fifo))
+                .collect(),
+        };
         let (np, ng, na) = (
             self.processors.len(),
             self.gateways.len(),
             self.accels.len(),
         );
         self.set_fusion_eligibility();
+        let traced = self.tracer.is_full();
+        let interval = if traced {
+            self.tracer.sample_interval()
+        } else {
+            0
+        };
+        let mut sample_at = match interval {
+            0 => u64::MAX,
+            i => self.cycle.next_multiple_of(i),
+        };
+        // Full trace only: per accelerator, the cycle the per-cycle tile
+        // would have polled its oldest parked flit (`u64::MAX`: none).
+        let mut parked = vec![u64::MAX; if traced { na } else { 0 }];
+        if traced {
+            self.tracer.hold();
+            let now = self.cycle;
+            for f in &mut self.fifos {
+                f.start_hwm_marks(now);
+            }
+        }
+        // Boundary at which the armed condition may first hold.
+        let mut check = u64::MAX;
+        let mut hit = false;
         while self.cycle < end {
             let now = self.cycle;
+            let lim = end.min(sample_at.saturating_add(1));
             // Fold delivery-wakes into the cached horizons: a gateway polls
             // a delivered flit immediately; an accelerator that committed
             // state ahead of the clock parks the flit until its accounted
             // cycle (consumes stay anchored on `busy_until`, so the late
-            // poll is exact).
+            // poll is exact). A flit delivered by the previous cycle's ring
+            // step is one the per-cycle tile polls at `now`.
             for j in 0..ng {
                 let (e, x) = hot.gw_nodes[j];
                 if self.ring.rx_pending(e) > 0 || self.ring.rx_pending(x) > 0 {
@@ -1024,6 +724,9 @@ impl System {
                 if self.ring.rx_pending(self.accels[k].node) > 0 {
                     let t = hot.acc_base + k;
                     hot.h[t] = hot.h[t].min(hot.acct[t].max(now));
+                    if let Some(p) = parked.get_mut(k).filter(|p| **p == u64::MAX) {
+                        *p = now;
+                    }
                 }
             }
             let mut acted = false;
@@ -1035,12 +738,16 @@ impl System {
                     self.processors[i].skip(hot.acct[i], now);
                     hot.acct[i] = now;
                 }
-                let to = self.span_window_proc(&hot, i, now, end);
+                let bound = Self::stop_bound(&hot, &subjects, i, lim.min(check));
+                let to = self.span_window_proc(&hot, i, now, bound);
                 let (cov, h2) =
                     self.processors[i].run_span(&mut self.fifos, now, to, &wiring.mask[i]);
                 hot.acct[i] = hot.acct[i].max(cov);
                 hot.h[i] = h2;
                 self.wake_watchers(&mut hot, &mut wiring, i, cov);
+                if subjects.contains(&i) && stop.is_some_and(|s| s.holds(self)) {
+                    check = check.min(cov);
+                }
                 acted = true;
             }
             for j in 0..ng {
@@ -1049,10 +756,11 @@ impl System {
                     continue;
                 }
                 if hot.acct[t] < now {
-                    self.gateways[j].skip_quiet(hot.acct[t], now);
+                    self.gateways[j].skip(&mut self.tracer, hot.acct[t], now);
                     hot.acct[t] = now;
                 }
-                let to = self.span_window_gw(&hot, now, end);
+                let bound = Self::stop_bound(&hot, &subjects, t, lim.min(check));
+                let to = self.span_window_gw(&hot, now, bound);
                 let (cov, h2) = self.gateways[j].run_span(
                     &mut self.ring,
                     &mut self.fifos,
@@ -1060,7 +768,7 @@ impl System {
                     &mut self.tracer,
                     now,
                     to,
-                    end,
+                    bound,
                     &wiring.mask[t],
                 );
                 hot.acct[t] = hot.acct[t].max(cov);
@@ -1071,15 +779,26 @@ impl System {
                     // accounted-through markers so the fused firings are
                     // never skip-replayed, and a flit parked for one is
                     // consumed exactly at its committed `busy_until`.
+                    // The previous firing's busy tail, if deferred, is
+                    // replayed first.
                     for a in &self.gateways[j].chain {
                         let ta = hot.acc_base + a.0;
-                        let fc = self.accels[a.0].fused_covered();
+                        let acc = &mut self.accels[a.0];
+                        if let Some(tail_end) = acc.take_prior_busy_until() {
+                            if hot.acct[ta] < tail_end {
+                                acc.skip(hot.acct[ta], tail_end);
+                            }
+                        }
+                        let fc = acc.fused_covered();
                         if hot.acct[ta] < fc {
                             hot.acct[ta] = fc;
                         }
                     }
                 }
                 self.wake_watchers(&mut hot, &mut wiring, t, cov);
+                if subjects.contains(&t) && stop.is_some_and(|s| s.holds(self)) {
+                    check = check.min(cov);
+                }
                 acted = true;
             }
             for k in 0..na {
@@ -1091,12 +810,18 @@ impl System {
                     self.accels[k].skip(hot.acct[t], now);
                     hot.acct[t] = now;
                 }
-                // An accelerator's window needs no bound at all: it reads
-                // only its own NI state (arrivals park and replay anchored
-                // on `busy_until`), forwards are held back unless credits
-                // are positive on the committed view (arrivals only add),
-                // and `covered` never claims past its last action.
-                let (cov, h2) = self.accels[k].run_span(&mut self.ring, now, end);
+                // An accelerator's window needs no bound of its own: it
+                // reads only its own NI state (arrivals park and replay
+                // anchored on `busy_until`), forwards are held back unless
+                // credits are positive on the committed view (arrivals only
+                // add), and `covered` never claims past its last action.
+                let bound = Self::stop_bound(&hot, &subjects, t, lim.min(check));
+                let since = match parked.get_mut(k) {
+                    Some(p) => std::mem::replace(p, u64::MAX).min(now),
+                    None => now,
+                };
+                let (cov, h2) =
+                    self.accels[k].run_span(&mut self.ring, now, bound, since, &mut self.tracer);
                 hot.acct[t] = hot.acct[t].max(cov);
                 hot.h[t] = h2;
                 // A drain-waiting gateway's horizon reads this accelerator's
@@ -1116,59 +841,82 @@ impl System {
                 self.engine_stats.full_steps += 1;
                 self.ring.step();
                 self.cycle = now + 1;
-                continue;
-            }
-            // Nothing due at `now`: advance the clock to the next event.
-            // Parked flits (see above) are already folded into `hot.h`.
-            let mut nxt = end;
-            for &v in &hot.h {
-                if v < nxt {
-                    nxt = v;
+            } else {
+                // Nothing due at `now`: advance the clock to the next event.
+                // Parked flits (see above) are already folded into `hot.h`.
+                let nxt = hot.h.iter().fold(lim.min(check), |m, &v| m.min(v));
+                debug_assert!(nxt > now, "no tile due yet clock cannot advance");
+                while self.cycle < nxt {
+                    let c = self.cycle;
+                    let rot = self.ring.rotation_steps();
+                    if rot == 0 {
+                        let d0 = self.ring.stats[0].delivered;
+                        self.ring.step();
+                        self.cycle = c + 1;
+                        self.engine_stats.ring_only_cycles += 1;
+                        if self.ring.stats[0].delivered != d0 {
+                            // A data flit landed: its owner may now be due.
+                            break;
+                        }
+                    } else {
+                        let k = rot.min(nxt - c);
+                        self.ring.skip(k);
+                        self.cycle = c + k;
+                        if rot == u64::MAX {
+                            self.engine_stats.skipped_cycles += k;
+                        } else {
+                            self.engine_stats.ring_only_cycles += k;
+                        }
+                    }
                 }
             }
-            debug_assert!(nxt > now, "no tile due yet clock cannot advance");
-            while self.cycle < nxt {
-                let c = self.cycle;
-                let rot = self.ring.rotation_steps();
-                if rot == 0 {
-                    let d0 = self.ring.stats[0].delivered;
-                    self.ring.step();
-                    self.cycle = c + 1;
-                    self.engine_stats.ring_only_cycles += 1;
-                    if self.ring.stats[0].delivered != d0 {
-                        // A data flit landed: its owner may now be due.
-                        break;
-                    }
-                } else {
-                    let k = rot.min(nxt - c);
-                    self.ring.skip(k);
-                    self.cycle = c + k;
-                    if rot == u64::MAX {
-                        self.engine_stats.skipped_cycles += k;
-                    } else {
-                        self.engine_stats.ring_only_cycles += k;
-                    }
+            // Windows end by `sample_at + 1`, so passing the sample point
+            // lands exactly on the cycle after it.
+            if self.cycle > sample_at {
+                self.sample_counters(sample_at);
+                sample_at += interval;
+            }
+            if self.cycle == check {
+                check = u64::MAX;
+                if stop.is_some_and(|s| s.holds(self)) {
+                    hit = true;
+                    break;
                 }
             }
         }
-        // Replay the deferred bookkeeping of every tile up to the end.
+        // Replay the deferred bookkeeping of every tile up to the stop.
+        let now = self.cycle;
         for i in 0..np {
-            if hot.acct[i] < self.cycle {
-                self.processors[i].skip(hot.acct[i], self.cycle);
+            if hot.acct[i] < now {
+                self.processors[i].skip(hot.acct[i], now);
             }
         }
         for j in 0..ng {
             let t = hot.gw_base + j;
-            if hot.acct[t] < self.cycle {
-                self.gateways[j].skip_quiet(hot.acct[t], self.cycle);
+            if hot.acct[t] < now {
+                self.gateways[j].skip(&mut self.tracer, hot.acct[t], now);
             }
         }
         for k in 0..na {
             let t = hot.acc_base + k;
-            if hot.acct[t] < self.cycle {
-                self.accels[k].skip(hot.acct[t], self.cycle);
+            if hot.acct[t] < now {
+                self.accels[k].skip(hot.acct[t], now);
             }
         }
+        if traced {
+            for (k, a) in self.accels.iter().enumerate() {
+                a.report_open_activity(&mut self.tracer, parked[k], now);
+            }
+            for (i, f) in self.fifos.iter_mut().enumerate() {
+                for (c, mark) in f.take_hwm_marks() {
+                    if c < now {
+                        self.tracer.fifo_high_water(i, mark, c);
+                    }
+                }
+            }
+            self.tracer.release();
+        }
+        hit || stop.is_some_and(|s| s.holds(self))
     }
 
     /// Run for `cycles` cycles in the configured [`StepMode`].
@@ -1181,41 +929,29 @@ impl System {
                 }
             }
             StepMode::EventDriven => {
-                // Only a *full* trace needs the per-event engine (periodic
-                // samples, accelerator edges, exact fused-send bookkeeping).
-                // The flight recorder rides the closed-form span path, which
-                // emits the same block-lifecycle and stall events — that is
-                // what keeps an always-on recorder near-free.
-                if self.tracer.is_full() {
-                    self.event_run(end, None);
-                } else {
-                    self.span_run(end);
-                }
+                self.span_run(end, None);
             }
         }
     }
 
-    /// Run until `pred(self)` holds or `max_cycles` elapse; returns `true`
-    /// if the predicate fired.
-    ///
-    /// The predicate is evaluated before every *executed* cycle. In
-    /// event-driven mode state is frozen across skipped intervals, so a
-    /// predicate over system state fires at the same cycle in both modes;
-    /// a predicate reading [`System::cycle`] itself may observe the clock
-    /// jumping over its trigger value.
-    pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
+    /// Run until `stop` holds at a cycle boundary or `max_cycles` elapse;
+    /// returns `true` if the condition holds where the run stopped. The
+    /// exhaustive engine checks the condition before every cycle it
+    /// steps; the span engine stops on the same boundary with the same
+    /// state, having committed nothing past it.
+    pub fn run_until(&mut self, max_cycles: u64, stop: StopWhen) -> bool {
         let end = self.cycle.saturating_add(max_cycles);
         match self.step_mode {
             StepMode::Exhaustive => {
                 while self.cycle < end {
-                    if pred(self) {
+                    if stop.holds(self) {
                         return true;
                     }
                     self.step();
                 }
-                pred(self)
+                stop.holds(self)
             }
-            StepMode::EventDriven => self.event_run(end, Some(&mut pred)),
+            StepMode::EventDriven => self.span_run(end, Some(stop)),
         }
     }
 
@@ -1333,34 +1069,58 @@ mod tests {
     #[test]
     fn run_until_predicate() {
         let (mut sys, ..) = build();
-        let hit = sys.run_until(100_000, |s| s.gateways[0].stream(0).blocks_done >= 1);
+        let hit = sys.run_until(
+            100_000,
+            StopWhen::BlocksDone {
+                gateway: 0,
+                stream: 0,
+                n: 1,
+            },
+        );
         assert!(hit);
         assert!(sys.cycle() < 100_000);
     }
 
     #[test]
     fn run_until_selective_loop_matches_exhaustive() {
-        // The event-driven run_until must stop at the exact cycle the
-        // exhaustive reference does, for predicates firing at different
-        // points of the block schedule.
-        for target in [1u64, 2, 3] {
+        // The span engine's run_until must stop at the exact cycle the
+        // exhaustive reference does, for every condition kind and at
+        // different points of the block schedule.
+        let (_, input, output) = build();
+        let mut conds = vec![StopWhen::GatewayBusy(0), StopWhen::GatewayIdle(0)];
+        for n in [1u64, 2, 3] {
+            conds.push(StopWhen::BlocksDone {
+                gateway: 0,
+                stream: 0,
+                n,
+            });
+        }
+        for len in [5usize, 16] {
+            conds.push(StopWhen::FifoLen { fifo: input.0, len });
+            conds.push(StopWhen::FifoLen {
+                fifo: output.0,
+                len,
+            });
+        }
+        for stop in conds {
             let (mut ev, ..) = build();
             let (mut ex, ..) = build();
             ev.step_mode = StepMode::EventDriven;
             ex.step_mode = StepMode::Exhaustive;
-            let p = move |s: &System| s.gateways[0].stream(0).blocks_done >= target;
-            let hit_ev = ev.run_until(100_000, p);
-            let hit_ex = ex.run_until(100_000, p);
-            assert_eq!(hit_ev, hit_ex, "verdicts differ for target {target}");
-            assert_eq!(
-                ev.cycle(),
-                ex.cycle(),
-                "stop cycle differs for target {target}"
-            );
+            // Leave the initial idle state first, so GatewayIdle waits for
+            // a block to complete.
+            ev.run(30);
+            ex.run(30);
+            let hit_ev = ev.run_until(100_000, stop);
+            let hit_ex = ex.run_until(100_000, stop);
+            assert_eq!(hit_ev, hit_ex, "verdicts differ for {stop:?}");
+            assert_eq!(ev.cycle(), ex.cycle(), "stop cycle differs for {stop:?}");
             assert_eq!(ev.gateways[0].blocks.len(), ex.gateways[0].blocks.len());
+            assert_eq!(ev.fifos[input.0].len(), ex.fifos[input.0].len());
+            assert_eq!(ev.fifos[output.0].len(), ex.fifos[output.0].len());
             assert!(
-                ev.engine_stats.skipped_cycles > 0,
-                "selective loop never skipped — the port regressed to lock-step"
+                ev.engine_stats.skipped_cycles > 0 || ev.cycle() < 100,
+                "span engine never skipped for {stop:?} — regressed to lock-step"
             );
         }
     }
@@ -1425,7 +1185,13 @@ mod tests {
         for k in 0..8 {
             sys.fifos[input.0].try_push((k as f64, -(k as f64)), 0);
         }
-        sys.run_until(10_000, |s| s.fifos[output.0].len() == 8);
+        sys.run_until(
+            10_000,
+            StopWhen::FifoLen {
+                fifo: output.0,
+                len: 8,
+            },
+        );
         for k in 0..8 {
             assert_eq!(sys.fifos[output.0].pop(), Some((k as f64, -(k as f64))));
         }

@@ -32,6 +32,11 @@
 //! Evicted events are counted ([`Tracer::events_dropped`]) so consumers
 //! can tell a truncated log from a complete one.
 //!
+//! **The tracer, not the engine, decides event order.** A full trace held
+//! for an interval-engine run is released sorted by each event's
+//! lock-step position — emission cycle, then emitter slot — which is the
+//! order the per-cycle reference writes.
+//!
 //! [`chrome_trace_json`] renders an event log in the Chrome trace-event
 //! format, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 
@@ -226,15 +231,58 @@ pub enum TraceEvent {
     },
 }
 
-/// A coalescing accelerator-activity window. While `open`, the
-/// accelerator is still active and `end` is meaningless; once the falling
-/// edge is reported, `end` holds the last active cycle and the window
-/// stays buffered in case a quick reactivation merges into it.
+impl TraceEvent {
+    /// Flat slot of the event's emitter within a lock-step cycle: gateway
+    /// pairs by index, then the system observation pass (accelerator
+    /// activity, FIFO high-water marks, periodic FIFO levels, ring
+    /// counters — in that order, each by index).
+    fn slot(&self) -> u64 {
+        const ACCEL: u64 = 1 << 32;
+        const HWM: u64 = 2 << 32;
+        const SAMPLE: u64 = 3 << 32;
+        match *self {
+            TraceEvent::BlockStart { gateway, .. }
+            | TraceEvent::ReconfigWindow { gateway, .. }
+            | TraceEvent::ConfigSave { gateway, .. }
+            | TraceEvent::ConfigRestore { gateway, .. }
+            | TraceEvent::DmaPhase { gateway, .. }
+            | TraceEvent::DrainPhase { gateway, .. }
+            | TraceEvent::BlockEnd { gateway, .. }
+            | TraceEvent::StallWindow { gateway, .. } => gateway as u64,
+            TraceEvent::AccelActive { accel, .. } => ACCEL | accel as u64,
+            TraceEvent::FifoHighWater { fifo, .. } => HWM | fifo as u64,
+            TraceEvent::FifoLevel { fifo, .. } => SAMPLE | fifo as u64,
+            TraceEvent::RingCounters { .. } => SAMPLE | u32::MAX as u64,
+        }
+    }
+
+    /// Cycle at which the per-cycle reference emits this event (closed
+    /// stall and activity windows pass theirs explicitly).
+    fn emit_cycle(&self) -> u64 {
+        match *self {
+            TraceEvent::BlockStart { cycle, .. }
+            | TraceEvent::ConfigSave { cycle, .. }
+            | TraceEvent::ConfigRestore { cycle, .. }
+            | TraceEvent::FifoLevel { cycle, .. }
+            | TraceEvent::FifoHighWater { cycle, .. }
+            | TraceEvent::RingCounters { cycle, .. } => cycle,
+            TraceEvent::ReconfigWindow { start, .. } => start,
+            TraceEvent::DmaPhase { end, .. }
+            | TraceEvent::DrainPhase { end, .. }
+            | TraceEvent::StallWindow { end, .. }
+            | TraceEvent::AccelActive { end, .. } => end,
+            TraceEvent::BlockEnd { drain_end, .. } => drain_end,
+        }
+    }
+}
+
+/// A coalescing accelerator-activity window: first and last active cycle
+/// reported so far. It stays buffered after the accelerator goes idle in
+/// case a quick reactivation merges into it.
 #[derive(Clone, Copy, Debug)]
 struct AccelWindow {
     start: u64,
     end: u64,
-    open: bool,
 }
 
 /// Internal state of an enabled tracer (boxed so a disabled [`Tracer`] is
@@ -259,15 +307,28 @@ struct TraceData {
     bound: usize,
     /// Events evicted from the front of a bounded log.
     events_dropped: u64,
+    /// Held events with their lock-step position `(cycle, slot)`, while a
+    /// run is held (see [`Tracer::hold`]).
+    held: Option<Vec<(u64, u64, TraceEvent)>>,
 }
 
 impl TraceData {
+    /// Record an event the per-cycle reference emits at cycle `at`: held
+    /// for sorting while a run is held, appended otherwise.
+    #[inline]
+    fn push_event(&mut self, at: u64, e: TraceEvent) {
+        match &mut self.held {
+            Some(h) => h.push((at, e.slot(), e)),
+            None => self.append(e),
+        }
+    }
+
     /// Append an event, enforcing the flight-recorder bound. The drain is
     /// amortised: the log is allowed to grow to `2 × bound` before the
     /// oldest half is shed in one `memmove`, so the per-event cost stays
     /// O(1) and the retained suffix is always at least `bound` events.
     #[inline]
-    fn push_event(&mut self, e: TraceEvent) {
+    fn append(&mut self, e: TraceEvent) {
         self.events.push(e);
         if self.bound != 0 && self.events.len() >= 2 * self.bound {
             let excess = self.events.len() - self.bound;
@@ -304,13 +365,12 @@ impl Tracer {
         }
     }
 
-    /// A bounded flight recorder: identical emission behaviour to
+    /// A bounded flight recorder: the emission sites of
     /// [`Tracer::enabled`], but only the most recent `capacity` events are
     /// retained (older ones are evicted and counted by
     /// [`Tracer::events_dropped`]). Cheap enough to leave on in production
-    /// runs: the event-driven engine keeps using its closed-form span path
-    /// (`System::run` only falls back to per-event stepping for *full*
-    /// tracing), and the ring never grows past `2 × capacity` entries.
+    /// runs: the span engine feeds it only the gateways' events, in
+    /// emission order, and the ring never grows past `2 × capacity`.
     pub fn flight_recorder(sample_interval: u64, capacity: usize) -> Self {
         Tracer {
             data: Some(Box::new(TraceData {
@@ -329,8 +389,8 @@ impl Tracer {
     }
 
     /// True only for an unbounded full trace — the condition for consumers
-    /// that need the *complete* event log (profiles, Chrome exports,
-    /// per-event engine stepping). A flight recorder reports `false`.
+    /// that need the *complete* event log (profiles, Chrome exports, the
+    /// span engine's observation pass). A flight recorder reports `false`.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.data.as_ref().is_some_and(|d| d.bound == 0)
@@ -353,13 +413,34 @@ impl Tracer {
         self.data.as_ref().map_or(0, |d| d.sample_interval)
     }
 
+    /// Hold a full trace's events, with their lock-step position, until
+    /// [`Tracer::release`]. A no-op unless the trace is full.
+    pub(crate) fn hold(&mut self) {
+        if let Some(d) = &mut self.data {
+            if d.bound == 0 {
+                d.held = Some(Vec::new());
+            }
+        }
+    }
+
+    /// Append the held events in lock-step order — by emission cycle, then
+    /// emitter slot, stable within a slot — and stop holding.
+    pub(crate) fn release(&mut self) {
+        let Some(d) = &mut self.data else { return };
+        let Some(mut held) = d.held.take() else {
+            return;
+        };
+        held.sort_by_key(|&(at, slot, _)| (at, slot));
+        d.events.extend(held.into_iter().map(|(_, _, e)| e));
+    }
+
     /// Record an event. The closure only runs when tracing is enabled, so
     /// callers pay nothing for constructing events on the disabled path.
     #[inline]
     pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(d) = &mut self.data {
             let e = f();
-            d.push_event(e);
+            d.push_event(e.emit_cycle(), e);
         }
     }
 
@@ -412,7 +493,7 @@ impl Tracer {
             d.open_stalls.push((gateway, cause, from, to - 1));
             return;
         };
-        d.push_event(closed);
+        d.push_event(from, closed);
     }
 
     /// Total stalled cycles recorded for a gateway and cause (valid while
@@ -426,55 +507,48 @@ impl Tracer {
         })
     }
 
-    /// Report a *change* in accelerator `accel`'s activity status at cycle
-    /// `now` (change-driven: callers must invoke this only on edges, not
-    /// every cycle). Contiguous active cycles coalesce into
+    /// Report that accelerator `accel` was active (held work: samples
+    /// buffered, in flight, or awaiting credits) at every cycle of
+    /// `[from, to)`. Reports per accelerator must come in nondecreasing
+    /// `from` order or overlap the window reported before; they may run
+    /// past the simulated clock (a committed firing), which
+    /// [`Tracer::finish`] clips. Active cycles coalesce into
     /// [`TraceEvent::AccelActive`] windows; idle gaps up to the tracer's
     /// sample interval are merged into the surrounding window — when ε
     /// dominates ρ_A the accelerator naturally idles between samples, and
     /// per-sample windows would swamp the trace.
-    ///
-    /// A rising edge (`active == true`) means the accelerator became active
-    /// at `now`; a falling edge means its last active cycle was `now - 1`.
     #[inline]
-    pub fn accel_edge(&mut self, accel: usize, active: bool, now: u64) {
+    pub fn accel_active(&mut self, accel: usize, from: u64, to: u64) {
         let Some(d) = &mut self.data else { return };
+        if to <= from {
+            return;
+        }
         if d.accel_active.len() <= accel {
             d.accel_active.resize(accel + 1, None);
         }
         let slot = &mut d.accel_active[accel];
-        match (slot.as_mut(), active) {
-            (None, true) => {
+        match slot.as_mut() {
+            Some(w) if from <= w.end + d.sample_interval + 1 => {
+                w.end = w.end.max(to - 1); // overlapping or short gap: merge
+            }
+            Some(w) => {
+                let ev = TraceEvent::AccelActive {
+                    accel: accel as u32,
+                    start: w.start,
+                    end: w.end,
+                };
+                *w = AccelWindow {
+                    start: from,
+                    end: to - 1,
+                };
+                d.push_event(from, ev);
+            }
+            None => {
                 *slot = Some(AccelWindow {
-                    start: now,
-                    end: now,
-                    open: true,
+                    start: from,
+                    end: to - 1,
                 });
             }
-            (Some(w), true) => {
-                debug_assert!(!w.open, "rising edge on an already-open window");
-                if now - w.end <= d.sample_interval + 1 {
-                    w.open = true; // gap short enough: merge
-                } else {
-                    let ev = TraceEvent::AccelActive {
-                        accel: accel as u32,
-                        start: w.start,
-                        end: w.end,
-                    };
-                    *w = AccelWindow {
-                        start: now,
-                        end: now,
-                        open: true,
-                    };
-                    d.push_event(ev);
-                }
-            }
-            (Some(w), false) => {
-                debug_assert!(w.open, "falling edge on a closed window");
-                w.open = false;
-                w.end = now - 1;
-            }
-            (None, false) => {}
         }
     }
 
@@ -488,11 +562,14 @@ impl Tracer {
         }
         if hwm as u32 > d.fifo_hwm_seen[fifo] {
             d.fifo_hwm_seen[fifo] = hwm as u32;
-            d.push_event(TraceEvent::FifoHighWater {
-                fifo: fifo as u32,
-                cycle: now,
-                level: hwm as u32,
-            });
+            d.push_event(
+                now,
+                TraceEvent::FifoHighWater {
+                    fifo: fifo as u32,
+                    cycle: now,
+                    level: hwm as u32,
+                },
+            );
         }
     }
 
@@ -504,7 +581,7 @@ impl Tracer {
         let Some(d) = &mut self.data else { return };
         let stalls: Vec<_> = d.open_stalls.drain(..).collect();
         for (gateway, cause, start, end) in stalls {
-            d.push_event(TraceEvent::StallWindow {
+            d.append(TraceEvent::StallWindow {
                 gateway,
                 cause,
                 start,
@@ -513,11 +590,10 @@ impl Tracer {
         }
         for accel in 0..d.accel_active.len() {
             if let Some(w) = d.accel_active[accel].take() {
-                let end = if w.open { now.saturating_sub(1) } else { w.end };
-                d.push_event(TraceEvent::AccelActive {
+                d.append(TraceEvent::AccelActive {
                     accel: accel as u32,
                     start: w.start,
-                    end,
+                    end: w.end.min(now.saturating_sub(1)),
                 });
             }
         }
@@ -826,7 +902,7 @@ mod tests {
         t.emit(|| panic!("constructor must not run when disabled"));
         t.stall_cycle(0, StallCause::DmaNoCredit, 5);
         t.stall_span(0, StallCause::DmaNoCredit, 6, 9);
-        t.accel_edge(0, true, 1);
+        t.accel_active(0, 1, 2);
         t.fifo_high_water(0, 10, 2);
         t.finish(100);
         assert!(!t.is_enabled());
@@ -888,6 +964,26 @@ mod tests {
     }
 
     #[test]
+    fn held_events_release_in_lockstep_order() {
+        let start = |gateway, cycle| TraceEvent::BlockStart {
+            gateway,
+            stream: 0,
+            cycle,
+        };
+        let (mut t, mut r) = (Tracer::enabled(0), Tracer::flight_recorder(0, 16));
+        for x in [&mut t, &mut r] {
+            x.hold();
+            x.emit(|| start(1, 7));
+            x.emit(|| start(0, 9));
+            x.emit(|| start(0, 7));
+        }
+        assert!(t.is_empty(), "held events wait for the release");
+        t.release();
+        assert_eq!(t.events(), &[start(0, 7), start(1, 7), start(0, 9)]);
+        assert_eq!(r.events(), &[start(1, 7), start(0, 9), start(0, 7)]);
+    }
+
+    #[test]
     fn stall_windows_coalesce() {
         let mut t = Tracer::enabled(0);
         for now in 10..15 {
@@ -916,7 +1012,7 @@ mod tests {
         assert_eq!(t.stall_cycles(0, StallCause::ExitFifoFull), 2);
     }
 
-    fn accel_spans(t: &Tracer) -> Vec<(u64, u64)> {
+    fn accel_windows(t: &Tracer) -> Vec<(u64, u64)> {
         t.events()
             .iter()
             .filter_map(|e| match *e {
@@ -926,15 +1022,12 @@ mod tests {
             .collect()
     }
 
-    /// Drive `accel_edge` the way `System::observe` does: from a per-cycle
-    /// activity signal, reporting only changes.
+    /// Drive `accel_active` the way `System::observe` does: one report
+    /// per active cycle of a per-cycle activity signal.
     fn drive_edges(t: &mut Tracer, active_at: impl Fn(u64) -> bool, cycles: u64) {
-        let mut prev = false;
         for now in 0..cycles {
-            let a = active_at(now);
-            if a != prev {
-                t.accel_edge(0, a, now);
-                prev = a;
+            if active_at(now) {
+                t.accel_active(0, now, now + 1);
             }
         }
     }
@@ -948,7 +1041,7 @@ mod tests {
             50,
         );
         t.finish(50);
-        assert_eq!(accel_spans(&t), vec![(5, 9), (20, 22)]);
+        assert_eq!(accel_windows(&t), vec![(5, 9), (20, 22)]);
     }
 
     #[test]
@@ -962,15 +1055,15 @@ mod tests {
             60,
         );
         t.finish(60);
-        assert_eq!(accel_spans(&t), vec![(0, 11), (40, 41)]);
+        assert_eq!(accel_windows(&t), vec![(0, 11), (40, 41)]);
     }
 
     #[test]
     fn accel_window_open_at_finish_ends_at_last_cycle() {
         let mut t = Tracer::enabled(0);
-        t.accel_edge(0, true, 12);
+        t.accel_active(0, 12, 40); // a firing committed past the clock
         t.finish(30); // still active: last simulated cycle is 29
-        assert_eq!(accel_spans(&t), vec![(12, 29)]);
+        assert_eq!(accel_windows(&t), vec![(12, 29)]);
     }
 
     #[test]

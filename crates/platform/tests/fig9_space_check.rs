@@ -7,8 +7,10 @@
 //! the stall cycles. With the check ENABLED the block is simply never
 //! admitted and the stalls vanish.
 
+use streamgate_analysis::DeploySpec;
 use streamgate_platform::{
-    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StallCause, StreamConfig, System,
+    AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, StallCause, StepMode, StreamConfig,
+    System,
 };
 
 /// Builds and runs the shared-FIFO harness; returns the system after 20k
@@ -99,4 +101,35 @@ fn stall_breakdown_shows_backpressure_propagation() {
     assert!(sys.tracer.stall_cycles(0, StallCause::DmaNoCredit) > 0);
     // CheckForSpace stalls are by definition zero when the check is off.
     assert_eq!(sys.tracer.stall_cycles(0, StallCause::CheckForSpace), 0);
+}
+
+/// The flight recorder attributes check-for-space waiting exactly: on a
+/// saturated Fig. 9 deployment with the check enabled, stream 1 is held
+/// back by the space test whenever the pair idles, and the span engine's
+/// quiet idle cycles replay that verdict — so the running stall total
+/// matches the per-cycle reference.
+#[test]
+fn flight_recorder_counts_check_for_space_on_both_engines() {
+    let spec = DeploySpec::fig9(true);
+    let totals: Vec<u64> = [StepMode::Exhaustive, StepMode::EventDriven]
+        .into_iter()
+        .map(|mode| {
+            let mut b = spec.build_platform();
+            b.system.step_mode = mode;
+            b.system.enable_flight_recorder(256);
+            for (i, s) in spec.streams.iter().enumerate() {
+                for k in 0..s.input_capacity {
+                    if !b.push_input(i, (k as f64, 0.5)) {
+                        break;
+                    }
+                }
+            }
+            b.system.run(20_000);
+            b.system
+                .tracer
+                .stall_cycles(b.gateway, StallCause::CheckForSpace)
+        })
+        .collect();
+    assert!(totals[0] > 0, "stream 1 must wait on the space check");
+    assert_eq!(totals[0], totals[1], "exhaustive vs span engine");
 }

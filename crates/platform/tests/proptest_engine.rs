@@ -21,7 +21,7 @@ use streamgate_analysis::{analyze_with, AnalysisOptions, ChainStage, DeploySpec,
 use streamgate_ilp::Rational;
 use streamgate_platform::{
     AcceleratorTile, CFifo, GatewayPair, PassthroughKernel, ProcessorTile, RateSource, ScaleKernel,
-    SinkTask, StepMode, StreamConfig, StreamKernel, System,
+    SinkTask, StepMode, StopWhen, StreamConfig, StreamKernel, System,
 };
 
 #[derive(Clone, Debug)]
@@ -309,6 +309,58 @@ fn run_event_chunked(t: &Topo, chunks: u64) -> System {
     sys
 }
 
+/// One of each [`StopWhen`] kind, aimed at `t`'s last gateway pair and
+/// its streams' FIFOs (inputs and outputs alternate in `build`).
+fn stop_conditions(t: &Topo) -> Vec<StopWhen> {
+    let g = t.gateways.len() - 1;
+    let streams: usize = t.gateways.iter().map(|&(_, s)| s).sum();
+    let last_in = 2 * (streams - 1);
+    vec![
+        StopWhen::GatewayBusy(g),
+        StopWhen::GatewayIdle(g),
+        StopWhen::BlocksDone {
+            gateway: g,
+            stream: t.gateways[g].1 - 1,
+            n: 3,
+        },
+        StopWhen::FifoLen {
+            fifo: last_in,
+            len: t.in_cap / 2 + 1,
+        },
+        StopWhen::FifoLen {
+            fifo: last_in + 1,
+            len: t.eta.min(t.out_cap),
+        },
+    ]
+}
+
+/// Warm up for a ragged third of the run, then `run_until(stop)` with the
+/// rest as budget; with `resume`, finish the budget with a plain `run`.
+/// Returns whether the condition held, the stop cycle and the system
+/// (trace finished).
+fn run_stop(
+    t: &Topo,
+    mode: StepMode,
+    traced: bool,
+    stop: StopWhen,
+    resume: bool,
+) -> (bool, u64, System) {
+    let mut sys = build(t);
+    sys.step_mode = mode;
+    if traced {
+        sys.enable_tracing(64);
+    }
+    sys.run(t.cycles / 3 + 1);
+    let hit = sys.run_until(t.cycles, stop);
+    let at = sys.cycle();
+    if resume {
+        sys.run(t.cycles / 2);
+    }
+    let now = sys.cycle();
+    sys.tracer.finish(now);
+    (hit, at, sys)
+}
+
 fn assert_identical(mut ex: System, mut ev: System) -> Result<(), TestCaseError> {
     prop_assert_eq!(ex.cycle(), ev.cycle());
     for (i, (a, b)) in ex.fifos.iter_mut().zip(ev.fifos.iter_mut()).enumerate() {
@@ -408,6 +460,33 @@ proptest! {
         let ex = run(&t, StepMode::Exhaustive);
         let ev = run(&t, StepMode::EventDriven);
         assert_identical(ex, ev)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `run_until` on every condition kind, traced and untraced: the span
+    /// engine stops on the exhaustive engine's cycle with identical state,
+    /// and stays identical after a further `run` resumes from the stop.
+    #[test]
+    fn stop_conditions_bit_identical(t in topo_strategy()) {
+        prop_assume!(accepted_by_analyzer(&t));
+        for stop in stop_conditions(&t) {
+            for traced in [false, true] {
+                for resume in [false, true] {
+                    let (hx, cx, ex) = run_stop(&t, StepMode::Exhaustive, traced, stop, resume);
+                    let (hv, cv, ev) = run_stop(&t, StepMode::EventDriven, traced, stop, resume);
+                    let case = format!("{stop:?}, traced {traced}, resume {resume}");
+                    prop_assert_eq!(hx, hv, "verdict for {}", case);
+                    prop_assert_eq!(cx, cv, "stop cycle for {}", case);
+                    assert_identical(ex, ev).map_err(|e| match e {
+                        TestCaseError::Fail(m) => TestCaseError::Fail(format!("{case}: {m}")),
+                        r => r,
+                    })?;
+                }
+            }
+        }
     }
 }
 
@@ -618,6 +697,30 @@ mod pinned {
             sink_interval: 1,
             sink_budget: 1,
             cycles: 11_000,
+        });
+    }
+
+    /// Wire and fused sends on one chain with ρ = 2: the run's final
+    /// firing is fused while the one before went over the wire, so the
+    /// fused commit must not lift the accelerator's accounted marker over
+    /// the earlier firing's deferred busy tail (a ragged, untraced run end
+    /// used to lose one busy cycle per block).
+    #[test]
+    fn fused_firing_after_wire_firing_keeps_busy_tail() {
+        check(&Topo {
+            gateways: vec![(1, 1)],
+            epsilon: 3,
+            delta: 1,
+            rho: 2,
+            reconfig: 0,
+            eta: 11,
+            in_cap: 11,
+            out_cap: 11,
+            ni_depth: 2,
+            src_interval: 31,
+            sink_interval: 1,
+            sink_budget: 1,
+            cycles: 1_334,
         });
     }
 
