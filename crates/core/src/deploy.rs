@@ -441,26 +441,19 @@ mod tests {
     fn blocks_flow_through_shared_chain() {
         let cfg = PalSystemConfig::scaled_default();
         let mut p = build_pal_system(&cfg);
-        // Run until the first front block has been multiplexed.
-        let done = p.system.run_until(
-            500_000,
-            StopWhen::BlocksDone {
+        // Run until the first front block has been multiplexed, then until
+        // a back block produces audio samples.
+        for (stream, budget, what) in [(0, 500_000, "first"), (2, 1_000_000, "audio")] {
+            let stop = StopWhen::BlocksDone {
                 gateway: 0,
-                stream: 0,
+                stream,
                 n: 1,
-            },
-        );
-        assert!(done, "first block never completed");
-        // And eventually a back block produces audio samples.
-        let done = p.system.run_until(
-            1_000_000,
-            StopWhen::BlocksDone {
-                gateway: 0,
-                stream: 2,
-                n: 1,
-            },
-        );
-        assert!(done, "audio block never completed");
+            };
+            assert!(
+                p.system.run_until(budget, stop),
+                "{what} block never completed"
+            );
+        }
         assert!(p.system.fifos[4].pushed > 0, "mono audio fifo stayed empty");
     }
 }

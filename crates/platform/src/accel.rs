@@ -46,6 +46,10 @@ pub struct AcceleratorTile {
     /// While `rx` is non-empty: a cycle from which the per-cycle tile has
     /// held buffered input continuously (activity tracing only).
     rx_since: u64,
+    /// Interval runs with a full trace: the cycle the per-cycle tile would
+    /// have polled the oldest flit delivered but not yet polled here (see
+    /// [`AcceleratorTile::note_parked`]).
+    parked_since: Option<u64>,
     /// Total busy cycles (for utilisation reports).
     pub busy_cycles: u64,
     /// Total samples consumed.
@@ -82,6 +86,7 @@ impl AcceleratorTile {
             prior_busy_until: None,
             pending_out: None,
             rx_since: 0,
+            parked_since: None,
             busy_cycles: 0,
             samples_in: 0,
             samples_out: 0,
@@ -204,9 +209,8 @@ impl AcceleratorTile {
     ///
     /// With a full trace, each consumed sample's per-cycle activity (not
     /// [`AcceleratorTile::is_drained`]) is reported to `tracer`: from its
-    /// poll until its firing ends and its output has left. `polled_since`
-    /// is when the per-cycle tile would have polled the oldest flit
-    /// polled here.
+    /// poll until its firing ends and its output has left; flits the
+    /// engine parked count from their `note_parked` cycle.
     ///
     /// Returns `(covered, horizon)`: state and accounting are exactly what
     /// `covered − from` per-cycle steps would have produced, and `horizon`
@@ -219,13 +223,13 @@ impl AcceleratorTile {
         ring: &mut DualRing<Sample>,
         from: u64,
         to: u64,
-        polled_since: u64,
         tracer: &mut Tracer,
     ) -> (u64, u64) {
         debug_assert!(from < to);
         debug_assert_eq!(ring.cycle(), from);
         let traced = tracer.is_full();
         let was_empty = self.rx.is_empty();
+        let polled_since = self.parked_since.take().unwrap_or(from);
         self.rx.poll_data(ring);
         if was_empty && !self.rx.is_empty() {
             self.rx_since = polled_since;
@@ -318,11 +322,18 @@ impl AcceleratorTile {
         (covered, self.horizon(covered))
     }
 
+    /// Interval runs with a full trace: a delivered flit waits at this
+    /// tile's NI, unpolled, at `now` — the cycle the per-cycle tile polls
+    /// it. The first note since the last [`AcceleratorTile::run_span`]
+    /// stands: the activity it starts runs from the oldest parked flit.
+    pub(crate) fn note_parked(&mut self, now: u64) {
+        self.parked_since.get_or_insert(now);
+    }
+
     /// Report to a full trace the activity still open when an interval
     /// run stops at `now`: buffered input, an output waiting for credits,
-    /// and parked flits the per-cycle tile polled at `parked_since`
-    /// (`u64::MAX`: none).
-    pub(crate) fn report_open_activity(&self, tracer: &mut Tracer, parked_since: u64, now: u64) {
+    /// and flits still parked (see [`AcceleratorTile::note_parked`]).
+    pub(crate) fn report_open_activity(&mut self, tracer: &mut Tracer, now: u64) {
         let id = self.trace_id as usize;
         if !self.rx.is_empty() {
             tracer.accel_active(id, self.rx_since, now);
@@ -330,8 +341,8 @@ impl AcceleratorTile {
         if self.pending_out.is_some() {
             tracer.accel_active(id, self.busy_until - self.cycles_per_sample, now);
         }
-        if parked_since < now {
-            tracer.accel_active(id, parked_since, now);
+        if let Some(p) = self.parked_since.take().filter(|&p| p < now) {
+            tracer.accel_active(id, p, now);
         }
     }
 

@@ -81,7 +81,7 @@ pub struct EngineStats {
 /// lock-step state at a cycle boundary. Each can change only when one of
 /// its *subject* tiles acts — the gateway pair named, or the tiles that
 /// push to or pop from the FIFO — which is what lets the span engine stop
-/// on the exhaustive engine's cycle without stepping per cycle.
+/// on the exhaustive engine's cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopWhen {
     /// Gateway pair `g` has no block in flight.
@@ -563,14 +563,15 @@ impl System {
     /// accel→accel, last accel→exit, and each credit return — at ring
     /// distance 1 (a distance-1 flit injects and ejects inside a single
     /// ring step, so phantom and real flits can never interact), the
-    /// delivery log and full tracing off (fused hops bypass the log and
-    /// the accelerators' activity reports), and the gateway's stations
-    /// disjoint from every pair streaming over a *different* chain (pairs
-    /// sharing the chain are serialized by the chain mutex and the
-    /// feed-equality gates).
-    fn set_fusion_eligibility(&mut self) {
+    /// delivery log, full tracing and stop conditions off (fused hops
+    /// bypass the log and the activity reports, and commit ahead of the
+    /// clock, past a stop), and the gateway's stations disjoint from
+    /// every pair streaming over a *different* chain (pairs sharing the
+    /// chain are serialized by the chain mutex and the feed-equality
+    /// gates).
+    fn set_fusion_eligibility(&mut self, stop_armed: bool) {
         let ng = self.gateways.len();
-        let log_off = self.ring.delivery_log().is_none() && !self.tracer.is_full();
+        let log_off = self.ring.delivery_log().is_none() && !self.tracer.is_full() && !stop_armed;
         let stations: Vec<Vec<usize>> = self
             .gateways
             .iter()
@@ -612,19 +613,6 @@ impl System {
         }
     }
 
-    /// Window bound for tile `t` under an armed stop condition: the
-    /// condition's *subjects* run to `lim`, every other tile only through
-    /// the earliest cycle a subject may act (a subject's action is the
-    /// only thing that can make the condition hold).
-    fn stop_bound(hot: &EngineHot, subjects: &[usize], t: usize, lim: u64) -> u64 {
-        if subjects.contains(&t) {
-            return lim;
-        }
-        subjects
-            .iter()
-            .fold(lim, |b, &s| b.min(hot.h[s].saturating_add(1)))
-    }
-
     /// The interval (span) engine: advance every tile across whole
     /// quiescence-free windows with closed-form arithmetic instead of
     /// per-cycle stepping, producing bit-identical counters, FIFO
@@ -651,9 +639,9 @@ impl System {
     ///
     /// Every window also ends by the cycle after a full trace's next
     /// periodic sample, so [`System::sample_counters`] reads lock-step
-    /// state. An armed condition bounds windows by [`System::stop_bound`]
-    /// and, once a subject's action makes it hold, by that action's
-    /// boundary, where it is re-checked on the completed cycle.
+    /// state. An armed condition turns fusion off, shortens windows (see
+    /// `one_cycle`) and, once a subject's action makes it hold, bounds
+    /// them by that action's boundary, re-checked on the completed cycle.
     fn span_run(&mut self, end: u64, stop: Option<StopWhen>) -> bool {
         if stop.is_some_and(|s| s.holds(self)) {
             return true;
@@ -675,12 +663,21 @@ impl System {
                 .filter(|&t| wiring.touched[t].contains(&fifo))
                 .collect(),
         };
+        // While armed, gateways and accelerators other than a sole subject
+        // run one-cycle windows: a subject can be woken before its cached
+        // horizon, and a stop inside a longer window would leave its tail
+        // committed past the stop (DESIGN.md §7).
+        let sole = match subjects[..] {
+            [s] => Some(s),
+            _ => None,
+        };
+        let one_cycle = |t: usize| stop.is_some() && sole != Some(t);
         let (np, ng, na) = (
             self.processors.len(),
             self.gateways.len(),
             self.accels.len(),
         );
-        self.set_fusion_eligibility();
+        self.set_fusion_eligibility(stop.is_some());
         let traced = self.tracer.is_full();
         let interval = if traced {
             self.tracer.sample_interval()
@@ -691,9 +688,6 @@ impl System {
             0 => u64::MAX,
             i => self.cycle.next_multiple_of(i),
         };
-        // Full trace only: per accelerator, the cycle the per-cycle tile
-        // would have polled its oldest parked flit (`u64::MAX`: none).
-        let mut parked = vec![u64::MAX; if traced { na } else { 0 }];
         if traced {
             self.tracer.hold();
             let now = self.cycle;
@@ -724,8 +718,8 @@ impl System {
                 if self.ring.rx_pending(self.accels[k].node) > 0 {
                     let t = hot.acc_base + k;
                     hot.h[t] = hot.h[t].min(hot.acct[t].max(now));
-                    if let Some(p) = parked.get_mut(k).filter(|p| **p == u64::MAX) {
-                        *p = now;
+                    if traced {
+                        self.accels[k].note_parked(now);
                     }
                 }
             }
@@ -738,15 +732,14 @@ impl System {
                     self.processors[i].skip(hot.acct[i], now);
                     hot.acct[i] = now;
                 }
-                let bound = Self::stop_bound(&hot, &subjects, i, lim.min(check));
-                let to = self.span_window_proc(&hot, i, now, bound);
+                let to = self.span_window_proc(&hot, i, now, lim.min(check));
                 let (cov, h2) =
                     self.processors[i].run_span(&mut self.fifos, now, to, &wiring.mask[i]);
                 hot.acct[i] = hot.acct[i].max(cov);
                 hot.h[i] = h2;
                 self.wake_watchers(&mut hot, &mut wiring, i, cov);
                 if subjects.contains(&i) && stop.is_some_and(|s| s.holds(self)) {
-                    check = check.min(cov);
+                    check = check.min(cov.max(now + 1));
                 }
                 acted = true;
             }
@@ -759,7 +752,11 @@ impl System {
                     self.gateways[j].skip(&mut self.tracer, hot.acct[t], now);
                     hot.acct[t] = now;
                 }
-                let bound = Self::stop_bound(&hot, &subjects, t, lim.min(check));
+                let bound = if one_cycle(t) {
+                    now + 1
+                } else {
+                    lim.min(check)
+                };
                 let to = self.span_window_gw(&hot, now, bound);
                 let (cov, h2) = self.gateways[j].run_span(
                     &mut self.ring,
@@ -796,8 +793,11 @@ impl System {
                     }
                 }
                 self.wake_watchers(&mut hot, &mut wiring, t, cov);
+                // Cycle `now` completes whatever the span covered: one that
+                // committed nothing (`cov == now`) may find the condition
+                // made true by an earlier subject this cycle.
                 if subjects.contains(&t) && stop.is_some_and(|s| s.holds(self)) {
-                    check = check.min(cov);
+                    check = check.min(cov.max(now + 1));
                 }
                 acted = true;
             }
@@ -815,13 +815,13 @@ impl System {
                 // anchored on `busy_until`), forwards are held back unless
                 // credits are positive on the committed view (arrivals only
                 // add), and `covered` never claims past its last action.
-                let bound = Self::stop_bound(&hot, &subjects, t, lim.min(check));
-                let since = match parked.get_mut(k) {
-                    Some(p) => std::mem::replace(p, u64::MAX).min(now),
-                    None => now,
+                let bound = if one_cycle(t) {
+                    now + 1
+                } else {
+                    lim.min(check)
                 };
                 let (cov, h2) =
-                    self.accels[k].run_span(&mut self.ring, now, bound, since, &mut self.tracer);
+                    self.accels[k].run_span(&mut self.ring, now, bound, &mut self.tracer);
                 hot.acct[t] = hot.acct[t].max(cov);
                 hot.h[t] = h2;
                 // A drain-waiting gateway's horizon reads this accelerator's
@@ -886,6 +886,10 @@ impl System {
         }
         // Replay the deferred bookkeeping of every tile up to the stop.
         let now = self.cycle;
+        debug_assert!(
+            hot.acct.iter().all(|&a| a <= now),
+            "a tile committed state past the cycle the run stopped on"
+        );
         for i in 0..np {
             if hot.acct[i] < now {
                 self.processors[i].skip(hot.acct[i], now);
@@ -904,8 +908,8 @@ impl System {
             }
         }
         if traced {
-            for (k, a) in self.accels.iter().enumerate() {
-                a.report_open_activity(&mut self.tracer, parked[k], now);
+            for a in &mut self.accels {
+                a.report_open_activity(&mut self.tracer, now);
             }
             for (i, f) in self.fifos.iter_mut().enumerate() {
                 for (c, mark) in f.take_hwm_marks() {
@@ -1095,8 +1099,10 @@ mod tests {
                 n,
             });
         }
-        for len in [5usize, 16] {
+        for len in [12usize, 16] {
             conds.push(StopWhen::FifoLen { fifo: input.0, len });
+        }
+        for len in [1usize, 2] {
             conds.push(StopWhen::FifoLen {
                 fifo: output.0,
                 len,
@@ -1107,10 +1113,16 @@ mod tests {
             let (mut ex, ..) = build();
             ev.step_mode = StepMode::EventDriven;
             ex.step_mode = StepMode::Exhaustive;
-            // Leave the initial idle state first, so GatewayIdle waits for
-            // a block to complete.
-            ev.run(30);
+            // Start each leg on a cycle where the condition does not hold
+            // yet, so the engine has to find the stop cycle.
             ex.run(30);
+            while stop.holds(&ex) && ex.cycle() < 1000 {
+                ex.run(1);
+            }
+            assert!(!stop.holds(&ex), "{stop:?} holds throughout the warm-up");
+            let start = ex.cycle();
+            ev.run(start);
+            ev.engine_stats = EngineStats::default();
             let hit_ev = ev.run_until(100_000, stop);
             let hit_ex = ex.run_until(100_000, stop);
             assert_eq!(hit_ev, hit_ex, "verdicts differ for {stop:?}");
@@ -1118,9 +1130,10 @@ mod tests {
             assert_eq!(ev.gateways[0].blocks.len(), ex.gateways[0].blocks.len());
             assert_eq!(ev.fifos[input.0].len(), ex.fifos[input.0].len());
             assert_eq!(ev.fifos[output.0].len(), ex.fifos[output.0].len());
+            let ran = ev.cycle() - start;
             assert!(
-                ev.engine_stats.skipped_cycles > 0 || ev.cycle() < 100,
-                "span engine never skipped for {stop:?} — regressed to lock-step"
+                ev.engine_stats.full_steps < ran,
+                "span engine stepped all {ran} cycles for {stop:?} — regressed to lock-step"
             );
         }
     }

@@ -724,6 +724,77 @@ mod pinned {
         });
     }
 
+    /// `run_until(stop)` traced and untraced, with and without a resuming
+    /// `run`: same verdict, stop cycle and state as the reference.
+    fn check_stop(t: &Topo, stop: StopWhen) {
+        assert!(accepted_by_analyzer(t), "pinned topology must pass oracle");
+        for traced in [false, true] {
+            for resume in [false, true] {
+                let (hx, cx, ex) = run_stop(t, StepMode::Exhaustive, traced, stop, resume);
+                let (hv, cv, ev) = run_stop(t, StepMode::EventDriven, traced, stop, resume);
+                let case = format!("traced {traced}, resume {resume}");
+                assert_eq!((hx, cx), (hv, cv), "verdict and stop cycle, {case}");
+                match assert_identical(ex, ev) {
+                    Ok(()) => {}
+                    Err(TestCaseError::Fail(msg)) => panic!("{case}: {msg}"),
+                    Err(TestCaseError::Reject) => unreachable!(),
+                }
+            }
+        }
+    }
+
+    /// A stop on an idle pair while another chain's accelerator holds two
+    /// samples (ρ = 3, two-deep NI): the idle pair's horizon is
+    /// open-ended, a source push wakes it before any cached horizon says,
+    /// and the other accelerator must not have committed its next consume
+    /// past the stop.
+    #[test]
+    fn stop_on_idle_pair_while_other_chain_fires() {
+        check_stop(
+            &Topo {
+                gateways: vec![(1, 2), (1, 1)],
+                epsilon: 1,
+                delta: 1,
+                rho: 3,
+                reconfig: 3,
+                eta: 2,
+                in_cap: 16,
+                out_cap: 64,
+                ni_depth: 2,
+                src_interval: 7,
+                sink_interval: 1,
+                sink_budget: 1,
+                cycles: 3_000,
+            },
+            StopWhen::GatewayBusy(1),
+        );
+    }
+
+    /// A FIFO condition with two subjects: the source's push makes it
+    /// hold, then the popping gateway's span that cycle commits nothing.
+    /// The stop is still the end of that cycle.
+    #[test]
+    fn fifo_stop_after_empty_gateway_span() {
+        check_stop(
+            &Topo {
+                gateways: vec![(1, 2), (1, 1)],
+                epsilon: 2,
+                delta: 1,
+                rho: 2,
+                reconfig: 3,
+                eta: 4,
+                in_cap: 16,
+                out_cap: 64,
+                ni_depth: 3,
+                src_interval: 7,
+                sink_interval: 1,
+                sink_budget: 1,
+                cycles: 3_000,
+            },
+            StopWhen::FifoLen { fifo: 0, len: 3 },
+        );
+    }
+
     /// Ragged stop cycles against a hot pipeline: lazily-flushed
     /// processor TDM positions must survive a `run()` boundary placed
     /// inside a delivery burst (the engine's historical stop-cycle
