@@ -1,5 +1,5 @@
 //! Golden-file tests for the machine-readable `--json` report: the exact
-//! bytes `streamgate-analyze --json` prints for one *accepted* and one
+//! bytes `streamgate-analyze --json` prints for every preset and for one
 //! *rejected* multi-gateway deployment. The JSON is a stable interface
 //! (CI and downstream tooling parse it), so any diff here is a deliberate
 //! format change: rerun with `GOLDEN_UPDATE=1` to re-record, and review
@@ -56,6 +56,24 @@ fn pal2_broken_rejected_json_matches_golden() {
     let report = analyze(&pal2_broken());
     assert!(!report.is_accepted(), "{}", report.render_text());
     check_golden("pal2_rejected.json", &report.to_json_text());
+}
+
+/// Every single-gateway preset of `streamgate-analyze`, with the exact
+/// report the CLI prints for it (`streamgate-analyze <preset> --json`, less
+/// the trailing newline). These presets run A2's exact buffer sizing, so the
+/// goldens also pin its findings.
+#[test]
+fn preset_reports_match_golden() {
+    for (spec, golden, accepted) in [
+        (DeploySpec::pal_scaled(), "pal_accepted.json", true),
+        (DeploySpec::fig6(), "fig6_accepted.json", true),
+        (DeploySpec::fig9(true), "fig9-safe_rejected.json", false),
+        (DeploySpec::fig9(false), "fig9-broken_rejected.json", false),
+    ] {
+        let report = analyze(&spec);
+        assert_eq!(report.is_accepted(), accepted, "{}", report.render_text());
+        check_golden(golden, &report.to_json_text());
+    }
 }
 
 /// The golden inputs must themselves round-trip through the spec JSON —
