@@ -24,20 +24,42 @@ use crate::spec::{DeploySpec, GatewayView, StreamDeploy};
 use streamgate_core::{fig5_csdf, minimum_stream_buffers, Fig5Params, SharingProblem};
 use streamgate_ilp::Rational;
 
-/// Largest block size for which the exact MCM-based minimum-buffer search
-/// (and with it the Fig. 8 non-monotonicity probe) still runs in
-/// micro/milliseconds; beyond it A2 falls back to the analytic floors.
+/// Largest block size for which the exact minimum-buffer search (and with
+/// it the Fig. 8 non-monotonicity probe) still runs in micro/milliseconds;
+/// beyond it A2 falls back to the analytic floors.
 const EXACT_BUFFER_ETA_LIMIT: u64 = 64;
+
+/// Largest numerator or denominator of a stream rate μ the analysis takes
+/// (2³²). A1 rejects a μ beyond it with an Error, and the rate arithmetic
+/// of the other rules (A2, A3, A7, A8, A10, A13) skips that stream, as it
+/// skips a zero block size. The bound also keeps the integer arc weights
+/// `q·dur − p·delay` of A2's positive-cycle test inside `i128`: there
+/// `λ = p/q = f/μ` carries μ's terms and every duration is at most `1/μ`
+/// or the round `γ̂`. It does not bound products across streams: several
+/// in-range rates with large coprime denominators can still overflow the
+/// exact rationals of Algorithm 1's simplex (A3's Info path).
+const MU_TERM_LIMIT: u128 = 1 << 32;
+
+/// μ's numerator and denominator are both within [`MU_TERM_LIMIT`].
+fn mu_in_range(s: &StreamDeploy) -> bool {
+    s.mu.numer().unsigned_abs() <= MU_TERM_LIMIT && s.mu.denom().unsigned_abs() <= MU_TERM_LIMIT
+}
+
+/// The stream's rate can enter throughput arithmetic: positive and in
+/// range. Streams failing this carry an A1 or A3 Error already.
+fn rate_usable(s: &StreamDeploy) -> bool {
+    s.mu.is_positive() && mu_in_range(s)
+}
 
 /// Tuning knobs for [`analyze_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct AnalysisOptions {
-    /// Run the exact MCM-based minimum-buffer search and the Fig. 8
-    /// non-monotonicity probe (rule A2). The search is exhaustive over the
-    /// capacity box, which costs seconds per stream in unoptimised builds —
-    /// batch consumers (the differential harness analyses hundreds of
-    /// deployments) turn it off. All findings it produces are *Warnings*,
-    /// so disabling it never changes the accept/reject verdict.
+    /// Run the exact minimum-buffer search and the Fig. 8 non-monotonicity
+    /// probe (rule A2). The search is exhaustive over the capacity box, one
+    /// positive-cycle test per candidate — batch consumers (the differential
+    /// harness analyses hundreds of deployments) turn it off. All findings
+    /// it produces are *Warnings*, so disabling it never changes the
+    /// accept/reject verdict.
     pub exact_buffers: bool,
 }
 
@@ -93,7 +115,14 @@ impl PairFacts {
         } else {
             prob.gamma(&etas)
         };
-        let util = prob.utilisation();
+        // Chain utilisation c0·Σμ (Eq. 8). A1 rejects out-of-range rates;
+        // leaving them out keeps the sum inside i128.
+        let c0_r = Rational::from_int(prob.params.c0() as i128);
+        let util = view
+            .streams
+            .iter()
+            .filter(|s| mu_in_range(s))
+            .fold(Rational::ZERO, |acc, s| acc + c0_r * s.mu);
         let structurally_ok = check_structure(spec, view, 0, &mut diags);
         let throughput_ok = check_throughput(spec, view, 0, &prob, &etas, gamma, &util, &mut diags);
         check_buffers(
@@ -151,7 +180,7 @@ impl RingContrib {
             hops: Vec::new(),
         };
         let segs = layout.segments(view.index);
-        for s in view.streams {
+        for s in view.streams.iter().filter(|s| mu_in_range(s)) {
             let ratio = if s.eta_out >= s.eta_in {
                 Rational::ONE
             } else {
@@ -582,7 +611,7 @@ fn compute_mode_facts(spec: &DeploySpec, opts: &AnalysisOptions, base: &Facts) -
                 .flat_map(|w| w.streams.iter().map(move |s| (w, s)))
                 .enumerate()
             {
-                if gi == flat || !s.mu.is_positive() || s.eta_in == 0 || gamma_w[gi] == 0 {
+                if gi == flat || !rate_usable(s) || s.eta_in == 0 || gamma_w[gi] == 0 {
                     continue;
                 }
                 let gw = gamma_w[gi];
@@ -834,6 +863,20 @@ fn check_structure(
             ok[i] = false;
             continue;
         }
+        if !mu_in_range(s) {
+            diags.push(Diagnostic {
+                rule: RuleId::A1Liveness,
+                severity: Severity::Error,
+                location: stream_loc(view, offset, i),
+                message: format!(
+                    "required throughput mu = {} is out of range: numerator and \
+                     denominator must be at most {MU_TERM_LIMIT}",
+                    s.mu
+                ),
+            });
+            ok[i] = false;
+            continue;
+        }
         if s.eta_out > s.eta_in {
             diags.push(Diagnostic {
                 rule: RuleId::A1Liveness,
@@ -887,7 +930,7 @@ fn check_throughput(
     if view.streams.is_empty() {
         return ok;
     }
-    if view.streams.iter().any(|s| !s.mu.is_positive()) {
+    if !view.streams.iter().all(rate_usable) {
         // Structural error already reported; utilisation is meaningless.
         ok.iter_mut().for_each(|v| *v = false);
         return ok;
@@ -994,7 +1037,7 @@ fn check_buffers(
             });
             continue;
         }
-        if !s.mu.is_positive() || !throughput_ok[i] {
+        if !rate_usable(s) || !throughput_ok[i] {
             continue; // no meaningful throughput-driven sizing
         }
         // Influx during one worst-case round: the producer keeps writing at
@@ -1453,14 +1496,13 @@ fn check_system_round(
         }
         group_checked.push(v.group);
         let members: Vec<_> = views.iter().filter(|w| w.group == v.group).collect();
-        // Non-positive rates and zero block sizes are A1/A3 errors already
-        // reported per pair; the utilisation sum is meaningless over them.
+        // Non-positive or out-of-range rates and zero block sizes are A1/A3
+        // errors already reported per pair; the utilisation sum is
+        // meaningless over them.
         if members.iter().all(|w| w.streams.is_empty())
-            || members.iter().any(|w| {
-                w.streams
-                    .iter()
-                    .any(|s| !s.mu.is_positive() || s.eta_in == 0)
-            })
+            || members
+                .iter()
+                .any(|w| w.streams.iter().any(|s| !rate_usable(s) || s.eta_in == 0))
         {
             continue;
         }
@@ -1504,7 +1546,7 @@ fn check_system_round(
         .flat_map(|v| v.streams.iter().map(move |s| (v, s)))
         .enumerate()
     {
-        if !s.mu.is_positive() || s.eta_in == 0 || gamma_sys[gi] == gamma_local[gi] {
+        if !rate_usable(s) || s.eta_in == 0 || gamma_sys[gi] == gamma_local[gi] {
             continue;
         }
         let lhs = Rational::new(s.eta_in as i128, gamma_sys[gi] as i128);
@@ -1589,11 +1631,9 @@ fn check_ring(
     diags: &mut Vec<Diagnostic>,
 ) {
     if views.iter().all(|v| v.chain.is_empty())
-        || views.iter().any(|v| {
-            v.streams
-                .iter()
-                .any(|s| !s.mu.is_positive() || s.eta_in == 0)
-        })
+        || views
+            .iter()
+            .any(|v| v.streams.iter().any(|s| !rate_usable(s) || s.eta_in == 0))
     {
         return; // structural errors already reported
     }
@@ -1885,7 +1925,7 @@ fn check_latency(
         let Some(budget) = s.max_latency else {
             continue;
         };
-        if !s.mu.is_positive() || s.eta_in == 0 {
+        if !rate_usable(s) || s.eta_in == 0 {
             continue; // structural errors already reported
         }
         let fill = (s.mu.recip() * Rational::from_int(s.eta_in as i128 - 1))

@@ -215,6 +215,68 @@ fn zero_eta_delta_is_rejected_not_a_crash() {
     }
 }
 
+/// A rate μ whose numerator or denominator is beyond the analysis bound
+/// (2^32) in a delta script is an A1 diagnostic, not a crash: the request
+/// reads `-> reject` and the run ends on the still-accepted baseline.
+#[test]
+fn huge_mu_delta_is_rejected_not_a_crash() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, mu) in [
+        "[1, 9223372036854775807]",
+        "[9223372036854775806, 9223372036854775807]",
+        "[1, 4294967297]",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let script = dir.join(format!("huge-mu-{i}.json"));
+        std::fs::write(
+            &script,
+            format!(
+                r#"{{"deltas": [
+                {{"op": "add", "gateway": 1, "stream": {{"name": "h", "mu": {mu},
+                 "eta_in": 8, "eta_out": 8, "reconfig": 20,
+                 "input_capacity": 64, "output_capacity": 64}}}}
+            ]}}"#
+            ),
+        )
+        .unwrap();
+        let out = analyze(&["--delta", script.to_str().unwrap(), "pal2"]);
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            text.contains("delta 0: add h @ gateway 1 -> reject (1 error(s)"),
+            "mu {mu}: {out:?}"
+        );
+        assert_eq!(out.status.code(), Some(0), "mu {mu}: {out:?}");
+    }
+}
+
+/// A spec file whose stream rate is out of range is rejected with an A1
+/// Error: exit 2.
+#[test]
+fn huge_mu_spec_file_exits_two() {
+    let dir = std::env::temp_dir().join("streamgate-analyze-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, mu) in [
+        streamgate_ilp::Rational::new(1, i64::MAX as i128),
+        streamgate_ilp::Rational::new(1 << 33, 3),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut spec = streamgate_analysis::DeploySpec::pal2();
+        spec.gateways[1].streams[0].mu = mu;
+        let file = dir.join(format!("huge-mu-spec-{i}.json"));
+        std::fs::write(&file, spec.to_json_text()).unwrap();
+        let out = analyze(&["--spec", file.to_str().unwrap()]);
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("verdict: REJECTED"), "{out:?}");
+        assert!(text.contains("is out of range"), "{out:?}");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+    }
+}
+
 /// A spec file whose stream has a zero block size is rejected: exit 2.
 #[test]
 fn zero_eta_spec_file_exits_two() {

@@ -17,8 +17,8 @@ mod common;
 use common::{fast_options, random_multi_spec, Rng};
 use proptest::prelude::*;
 use streamgate_analysis::{
-    analyze_with, AdmissionController, AnalysisState, Delta, DeploySpec, StreamDeploy, StreamMode,
-    StreamModes,
+    analyze_with, AdmissionController, AnalysisOptions, AnalysisState, Delta, DeploySpec, Severity,
+    StreamDeploy, StreamMode, StreamModes,
 };
 use streamgate_ilp::Rational;
 use streamgate_platform::StopWhen;
@@ -325,6 +325,67 @@ fn admit_during_reconfig_window() {
         gw.stream(idx).blocks_done >= 1,
         "spliced stream ran a block"
     );
+}
+
+/// A rate μ beyond the analysis bound is a diagnostic, not a panic: the
+/// request comes back as a `Reject` (A1) under the default options (exact
+/// A2 sizing on), and the committed report, the spec and the running
+/// system are untouched.
+#[test]
+fn huge_mu_request_is_rejected_without_touching_the_system() {
+    let spec = DeploySpec::pal2();
+    let mut built = spec.build_multi_platform();
+    built.system.run(1_000);
+    let mut ctrl = AdmissionController::new(spec.clone(), AnalysisOptions::default());
+    let report = ctrl.report().to_json_text();
+    let gateways = built.gateways.clone();
+    let streams = built.system.gateways[gateways[1]].num_streams();
+    for mu in [
+        Rational::new(1, i64::MAX as i128),
+        Rational::new((1 << 32) + 1, 1 << 40),
+    ] {
+        let huge = StreamDeploy {
+            name: "huge".into(),
+            mu,
+            eta_in: 8,
+            eta_out: 8,
+            reconfig: 20,
+            input_capacity: 64,
+            output_capacity: 64,
+            max_latency: None,
+        };
+        let cycle = built.system.cycle();
+        let outcome = ctrl
+            .request(
+                &mut built.system,
+                &gateways,
+                &Delta::AddStream {
+                    gateway: 1,
+                    stream: huge,
+                },
+                None,
+            )
+            .unwrap();
+        assert!(!outcome.verdict.is_admitted(), "mu {mu} must be rejected");
+        assert!(
+            outcome
+                .verdict
+                .report()
+                .with_severity(Severity::Error)
+                .any(|d| d.message.contains("is out of range")),
+            "{}",
+            outcome.verdict.report().render_text()
+        );
+        assert_eq!(
+            built.system.cycle(),
+            cycle,
+            "a reject never runs the system"
+        );
+        assert_eq!(ctrl.report().to_json_text(), report);
+        assert_eq!(ctrl.spec(), &spec);
+    }
+    built.system.run(1_000);
+    assert_eq!(built.system.gateways[gateways[1]].num_streams(), streams);
 }
 
 /// A zero block size is a diagnostic, not a panic: the admission request

@@ -4,8 +4,10 @@
 //! After Algorithm 1 fixes the block sizes, "a standard algorithm for the
 //! computation of the minimum buffer capacities \[20\] can be used" (§V-F).
 //! We size α₀ (producer → gateway) and α₃ (gateway → consumer) of the
-//! Fig. 7 abstraction with the exact MCM-based search of
-//! `streamgate-dataflow::buffer`.
+//! Fig. 7 abstraction with the exact search of
+//! `streamgate-dataflow::buffer`, which decides each candidate capacity
+//! with one integer positive-cycle test at the throughput target (is the
+//! bounded graph's MCM at most `f/μ_s`?) rather than computing its MCM.
 //!
 //! The paper's key observation (§V-E): minimum capacities are **not**
 //! monotone in the block size. The mechanism is visible in the abstraction:

@@ -7,17 +7,23 @@
 //! firing (consumption from the back edge at start) and *released* when the
 //! consumer finishes one (production on the back edge at end).
 //!
-//! Feasibility of a capacity assignment is decided exactly with the MCM
-//! analysis of [`crate::mcm`]: the reference actor's steady-state period must
-//! not exceed the target. Capacity feasibility is monotone per channel
+//! Feasibility of a capacity assignment is a decision problem: the
+//! reference actor's steady-state period must not exceed the target, i.e.
+//! the MCM of the bounded graph must not exceed `λ = target · f` (`f` the
+//! reference's firings per iteration). [`feasible`] answers it exactly with
+//! one integer positive-cycle test at `λ` ([`crate::mcm::mcm_at_most`]) and
+//! never computes the MCM itself; [`period_with_capacities`] computes the
+//! exact period and is the oracle the tests hold it against. An `i128`
+//! overflow in the test is an error ([`McmError::Overflow`]), never a
+//! verdict. Capacity feasibility is monotone per channel
 //! (adding space never slows a self-timed execution down — dataflow
 //! monotonicity), so per-channel minima are found by doubling + binary
 //! search. **Total** capacity, however, is *not* monotone in the block size
 //! of the application model — the paper demonstrates this in Fig. 8, and
 //! experiment E3 reproduces it with this module.
 
-use crate::graph::{CsdfGraph, EdgeId, GraphError, Time};
-use crate::mcm::{mcm_period, McmError};
+use crate::graph::{CsdfGraph, EdgeId, Time};
+use crate::mcm::{expand_to_hsdf, mcm_at_most, mcm_period, McmError};
 use crate::repetition::repetition_vector;
 use streamgate_ilp::Rational;
 
@@ -72,11 +78,12 @@ pub fn with_capacities(g: &CsdfGraph, channels: &[EdgeId], caps: &[u64]) -> Csdf
 }
 
 /// Exact steady-state period of `reference` under the given capacities, or
-/// `None` if the bounded graph deadlocks.
+/// `None` if the bounded graph deadlocks. Never returns
+/// [`McmError::ZeroDelayCycle`].
 pub fn period_with_capacities(
     p: &BufferProblem,
     caps: &[u64],
-) -> Result<Option<Rational>, GraphError> {
+) -> Result<Option<Rational>, McmError> {
     let g = with_capacities(&p.graph, &p.channels, caps);
     let rep = repetition_vector(&g)?;
     let f = rep.firings_of(&g, p.reference);
@@ -84,16 +91,24 @@ pub fn period_with_capacities(
         Ok(Some(mcm)) => Ok(Some(mcm / Rational::from_int(f as i128))),
         Ok(None) => Ok(Some(Rational::ZERO)),
         Err(McmError::ZeroDelayCycle) => Ok(None),
-        Err(McmError::Graph(e)) => Err(e),
+        Err(e) => Err(e),
     }
 }
 
-/// True iff the capacities meet the problem's period target.
-pub fn feasible(p: &BufferProblem, caps: &[u64]) -> Result<bool, GraphError> {
-    Ok(match period_with_capacities(p, caps)? {
-        Some(period) => period <= p.target_period,
-        None => false,
-    })
+/// True iff the capacities meet the problem's period target: the same
+/// verdict as `period_with_capacities(p, caps)` being `Some(period)` with
+/// `period <= target_period`, from one positive-cycle test. A deadlocking
+/// assignment is infeasible; [`McmError::Overflow`] means the test could
+/// not be decided in `i128`.
+pub fn feasible(p: &BufferProblem, caps: &[u64]) -> Result<bool, McmError> {
+    let g = with_capacities(&p.graph, &p.channels, caps);
+    let rep = repetition_vector(&g)?;
+    let f = Rational::from_int(rep.firings_of(&g, p.reference) as i128);
+    let lambda = p.target_period.checked_mul(&f).ok_or(McmError::Overflow)?;
+    match mcm_at_most(&expand_to_hsdf(&g)?, lambda) {
+        Err(McmError::ZeroDelayCycle) => Ok(false),
+        verdict => verdict,
+    }
 }
 
 /// The maximum throughput period of the *unbounded* graph — the tightest
@@ -115,11 +130,11 @@ pub fn min_buffer_for_period(
     channel_idx: usize,
     others: &[u64],
     cap_limit: u64,
-) -> Result<Option<u64>, GraphError> {
+) -> Result<Option<u64>, McmError> {
     let floor = min_meaningful_capacity(&p.graph, p.channels[channel_idx]);
     let mut caps = others.to_vec();
 
-    let try_cap = |c: u64, caps: &mut Vec<u64>| -> Result<bool, GraphError> {
+    let try_cap = |c: u64, caps: &mut Vec<u64>| -> Result<bool, McmError> {
         caps[channel_idx] = c;
         feasible(p, caps)
     };
@@ -168,7 +183,7 @@ pub fn min_meaningful_capacity(g: &CsdfGraph, e: EdgeId) -> u64 {
 pub fn min_buffers_for_period(
     p: &BufferProblem,
     cap_limit: u64,
-) -> Result<Option<BufferResult>, GraphError> {
+) -> Result<Option<BufferResult>, McmError> {
     let k = p.channels.len();
     assert!(k >= 1, "no channels to size");
     assert!(k <= 4, "exhaustive buffer search limited to 4 channels");
@@ -225,7 +240,7 @@ pub fn min_buffers_for_max_throughput(
     channels: Vec<EdgeId>,
     reference: crate::graph::ActorId,
     cap_limit: u64,
-) -> Result<Option<BufferResult>, GraphError> {
+) -> Result<Option<BufferResult>, McmError> {
     let target = match unbounded_period(graph, reference) {
         Ok(Some(t)) => t,
         Ok(None) => Rational::from_int(
@@ -236,7 +251,7 @@ pub fn min_buffers_for_max_throughput(
                 .unwrap_or(1) as i128,
         ),
         Err(McmError::ZeroDelayCycle) => return Ok(None),
-        Err(McmError::Graph(e)) => return Err(e),
+        Err(e) => return Err(e),
     };
     let p = BufferProblem {
         graph: graph.clone(),
@@ -389,6 +404,34 @@ mod tests {
         let b = g.add_sdf_actor("B", 1);
         let e = g.add_sdf_edge("ab", a, 1, b, 1, 3);
         let _ = with_capacities(&g, &[e], &[2]);
+    }
+
+    #[test]
+    fn decision_test_is_inclusive_at_a_fractional_target() {
+        // A ring A(3) -> B(3) -> C(3) -> A holding two tokens has MCM 9/2.
+        // D(1) drains C two tokens a firing over a sized channel, so it fires
+        // f = 2 times per iteration: its period is 9/4 and the test runs at
+        // λ = 9/4 · 2 = 9/2, a non-unit denominator. A target equal to the
+        // period is feasible (the test is `<=`); just below it is not.
+        let mut g = CsdfGraph::new();
+        let a = g.add_sdf_actor("A", 3);
+        let b = g.add_sdf_actor("B", 3);
+        let c = g.add_sdf_actor("C", 3);
+        let d = g.add_sdf_actor("D", 1);
+        g.add_sdf_edge("ab", a, 1, b, 1, 0);
+        g.add_sdf_edge("bc", b, 1, c, 1, 0);
+        g.add_sdf_edge("ca", c, 1, a, 1, 2);
+        let e = g.add_sdf_edge("cd", c, 2, d, 1, 0);
+        let mut p = BufferProblem {
+            graph: g,
+            channels: vec![e],
+            reference: d,
+            target_period: rat(9, 4),
+        };
+        assert_eq!(period_with_capacities(&p, &[4]).unwrap(), Some(rat(9, 4)));
+        assert!(feasible(&p, &[4]).unwrap());
+        p.target_period = rat(9, 4) - rat(1, 1_000_000);
+        assert!(!feasible(&p, &[4]).unwrap());
     }
 
     #[test]

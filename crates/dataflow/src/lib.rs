@@ -9,9 +9,11 @@
 //! * [`graph`] — SDF/CSDF graphs with per-phase firing durations and quanta;
 //! * [`repetition`] — balance equations, consistency, repetition vectors;
 //! * [`simulate()`] — self-timed execution (earliest admissible schedule);
-//! * [`mcm`] — HSDF expansion and exact maximum-cycle-mean analysis;
-//! * [`buffer`] — minimum buffer capacities under a throughput constraint,
-//!   including the non-monotone behaviour demonstrated in Fig. 8;
+//! * [`mcm`] — HSDF expansion, the `MCM ≤ λ` decision test and exact
+//!   maximum-cycle-mean analysis;
+//! * [`buffer`] — minimum buffer capacities under a throughput constraint
+//!   (one decision test per candidate), including the non-monotone
+//!   behaviour demonstrated in Fig. 8;
 //! * [`schedule`] — admissible schedule construction and Gantt rendering
 //!   (Fig. 6);
 //! * [`refinement`] — *the-earlier-the-better* trace refinement checks
@@ -32,7 +34,7 @@ pub mod simulate;
 pub use buffer::{min_buffer_for_period, min_buffers_for_period, BufferProblem, BufferResult};
 pub use graph::{quanta, Actor, ActorId, CsdfGraph, Edge, EdgeId, GraphError, Time};
 pub use latency::{token_latency, LatencyStats};
-pub use mcm::{expand_to_hsdf, max_cycle_ratio, mcm_period, Hsdf, McmError};
+pub use mcm::{expand_to_hsdf, max_cycle_ratio, mcm_at_most, mcm_period, Hsdf, McmError};
 pub use refinement::{
     check_refinement, check_refinement_multi, refines, ArrivalTrace, RefinementOutcome,
 };

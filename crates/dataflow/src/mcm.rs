@@ -12,10 +12,16 @@
 //!    homogeneous graph whose nodes are the individual firings of one graph
 //!    iteration, with inter-firing precedence arcs annotated with iteration
 //!    distances (delays). Sequencing arcs encode the implicit self-edge.
-//! 2. [`max_cycle_ratio`] computes `max over cycles (Σ durations / Σ delays)`
-//!    exactly, via a parametric positive-cycle test (Bellman–Ford) combined
-//!    with binary search and a final Stern–Brocot rounding step that recovers
-//!    the exact rational from the isolating interval.
+//! 2. [`mcm_at_most`] decides `MCM ≤ λ` with **one** positive-cycle test
+//!    (Bellman–Ford) at `λ = p/q`, on the integer arc weights
+//!    `q·dur(src) − p·delay`: a cycle's weight is positive exactly when its
+//!    ratio exceeds `λ`. This is the question throughput-constrained buffer
+//!    sizing asks of every candidate capacity ([`crate::buffer::feasible`]).
+//! 3. [`max_cycle_ratio`] computes `max over cycles (Σ durations / Σ delays)`
+//!    exactly, by binary search over the same test and a final Stern–Brocot
+//!    rounding step that recovers the exact rational from the isolating
+//!    interval. It is the oracle the tests hold the decision test and the
+//!    simulator against.
 
 use crate::graph::{CsdfGraph, GraphError, Time};
 use crate::repetition::repetition_vector;
@@ -41,6 +47,9 @@ pub enum McmError {
     Graph(GraphError),
     /// A dependency cycle with zero total delay: the graph deadlocks.
     ZeroDelayCycle,
+    /// An integer arc weight or path length of the positive-cycle test left
+    /// `i128`: the durations, delays or `λ` are too large to decide exactly.
+    Overflow,
 }
 
 impl From<GraphError> for McmError {
@@ -54,6 +63,7 @@ impl std::fmt::Display for McmError {
         match self {
             McmError::Graph(g) => write!(f, "{g}"),
             McmError::ZeroDelayCycle => write!(f, "zero-delay dependency cycle (deadlock)"),
+            McmError::Overflow => write!(f, "arithmetic overflow in the cycle-ratio test"),
         }
     }
 }
@@ -175,33 +185,44 @@ pub fn expand_to_hsdf(g: &CsdfGraph) -> Result<Hsdf, McmError> {
 
 /// True iff the HSDF graph has a cycle whose ratio `Σ dur / Σ delay`
 /// strictly exceeds `lambda`. Arc weight is the *source* node's duration.
-fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> bool {
+///
+/// With `lambda = p/q` (`q > 0`) the arc weights are the integers
+/// `q·dur(src) − p·delay`, whose sum over a cycle is positive exactly when
+/// the cycle's ratio exceeds `lambda`; no rational arithmetic runs inside the
+/// relaxation loop. Every weight and path length is computed with checked
+/// `i128` arithmetic, and an overflow is [`McmError::Overflow`], never a
+/// wrong verdict.
+fn has_cycle_ratio_above(h: &Hsdf, lambda: Rational) -> Result<bool, McmError> {
+    let (p, q) = (lambda.numer(), lambda.denom());
+    let weights = h
+        .arcs
+        .iter()
+        .map(|&(s, d, delay)| {
+            let w = q
+                .checked_mul(h.durations[s] as i128)
+                .zip(p.checked_mul(delay as i128))
+                .and_then(|(dur, tokens)| dur.checked_sub(tokens));
+            w.map(|w| (s, d, w)).ok_or(McmError::Overflow)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // Longest-path relaxation from all-zero distances (a virtual source); a
+    // still-relaxable arc after n rounds implies a positive-weight cycle.
     let n = h.durations.len();
-    if n == 0 {
-        return false;
-    }
-    // Longest-path relaxation; a still-relaxable arc after n rounds implies a
-    // positive-weight cycle for weights w = dur(src) - lambda * delay.
-    let mut dist = vec![Rational::ZERO; n];
-    for round in 0..=n {
+    let mut dist = vec![0i128; n];
+    for _ in 0..=n {
         let mut changed = false;
-        for &(s, d, delay) in &h.arcs {
-            let w = Rational::from_int(h.durations[s] as i128)
-                - lambda * Rational::from_int(delay as i128);
-            let cand = dist[s] + w;
+        for &(s, d, w) in &weights {
+            let cand = dist[s].checked_add(w).ok_or(McmError::Overflow)?;
             if cand > dist[d] {
                 dist[d] = cand;
                 changed = true;
             }
         }
         if !changed {
-            return false;
-        }
-        if round == n {
-            return true;
+            return Ok(false);
         }
     }
-    unreachable!()
+    Ok(true)
 }
 
 /// Detect a cycle with zero total delay (deadlock) via DFS on zero-delay arcs.
@@ -283,11 +304,25 @@ fn simplest_in_co(lo: Rational, hi: Rational) -> Rational {
     fl_r + x.recip()
 }
 
+/// Decision form of [`max_cycle_ratio`]: `Ok(true)` iff every cycle of `h`
+/// has ratio `Σ dur / Σ delay ≤ lambda`, i.e. the minimum steady-state
+/// period is at most `lambda`. One positive-cycle test, no search.
+///
+/// `Err(ZeroDelayCycle)` for a deadlocked graph, as [`max_cycle_ratio`];
+/// `Err(Overflow)` if the integer weights do not fit in `i128`.
+pub fn mcm_at_most(h: &Hsdf, lambda: Rational) -> Result<bool, McmError> {
+    if has_zero_delay_cycle(h) {
+        return Err(McmError::ZeroDelayCycle);
+    }
+    Ok(!has_cycle_ratio_above(h, lambda)?)
+}
+
 /// Exact maximum cycle ratio `max over cycles (Σ durations / Σ delays)` of an
 /// HSDF graph; this is the minimum feasible steady-state period (MCM).
 ///
-/// Returns `Ok(None)` for an acyclic graph (no steady-state constraint) and
-/// `Err(ZeroDelayCycle)` for a deadlocked one.
+/// Returns `Ok(None)` for an acyclic graph (no steady-state constraint),
+/// `Err(ZeroDelayCycle)` for a deadlocked one and `Err(Overflow)` if a
+/// positive-cycle test of the search overflows.
 pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     if has_zero_delay_cycle(h) {
         return Err(McmError::ZeroDelayCycle);
@@ -299,7 +334,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     }
     let mut lo = Rational::ZERO; // invariant: MCM > lo or graph "acyclic-ish"
     let mut hi = Rational::from_int(total_dur as i128 + 1); // MCM <= hi
-    if !has_cycle_ratio_above(h, lo) {
+    if !has_cycle_ratio_above(h, lo)? {
         // No cycle has positive duration => every cycle ratio is 0; with all
         // durations >= 0 this means cycles of zero duration.
         return Ok(Some(Rational::ZERO));
@@ -310,7 +345,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     let eps = (d * d).recip();
     while hi - lo > eps {
         let mid = (lo + hi) * Rational::new(1, 2);
-        if has_cycle_ratio_above(h, mid) {
+        if has_cycle_ratio_above(h, mid)? {
             lo = mid;
         } else {
             hi = mid;
@@ -319,7 +354,7 @@ pub fn max_cycle_ratio(h: &Hsdf) -> Result<Option<Rational>, McmError> {
     // MCM is the unique rational in (lo, hi] with denominator <= total_delay,
     // which is the simplest rational in that interval.
     let r = simplest_in(lo, hi);
-    debug_assert!(!has_cycle_ratio_above(h, r));
+    debug_assert_eq!(has_cycle_ratio_above(h, r), Ok(false));
     Ok(Some(r))
 }
 

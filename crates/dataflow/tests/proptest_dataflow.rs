@@ -10,7 +10,9 @@
 //!   refinement the paper builds on;
 //! * MCM equals the simulated steady-state period on strongly-connected
 //!   graphs;
-//! * buffer feasibility is monotone in capacity.
+//! * buffer feasibility is monotone in capacity;
+//! * the buffer feasibility decision test agrees with the exact period,
+//!   including at a target equal to the period and just below it.
 
 use proptest::prelude::*;
 use streamgate_dataflow::{
@@ -45,6 +47,50 @@ fn random_chain() -> impl Strategy<Value = CsdfGraph> {
         g.add_sdf_edge("bp", actors[n - 1], 1, actors[0], 1, cap);
         g
     })
+}
+
+/// A random chain `A -p0/c0-> B -p1/c1-> C` with both channels bounded, a
+/// reference actor and a capacity vector. Capacities start at the largest
+/// quantum plus a small slack, so some assignments deadlock. With
+/// `ring > 0` an unbounded edge `C -> A` holding tokens for `ring + 1`
+/// firings of A closes the chain, which makes multi-token critical cycles, and with
+/// them fractional periods, common. An unbounded tap `C -2/1-> D` fires at
+/// least twice per iteration, so with D as the reference the decision test
+/// runs at `λ = period · f` with `f > 1`.
+fn sized_chain() -> impl Strategy<Value = (CsdfGraph, usize, Vec<u64>)> {
+    (
+        proptest::collection::vec(1u64..=4, 4),
+        proptest::collection::vec(1u64..=4, 3),
+        0usize..6,
+        proptest::collection::vec(0u64..=4, 2),
+        0u64..=2,
+    )
+        .prop_map(|(rates, durs, reference, slack, ring)| {
+            // Rates 1 (three times in four) or 2: equal rates keep rings short.
+            let rates: Vec<u64> = rates.iter().map(|&r| if r == 2 { 2 } else { 1 }).collect();
+            let mut g = CsdfGraph::new();
+            let actors: Vec<_> = ["A", "B", "C"]
+                .iter()
+                .zip(&durs)
+                .map(|(name, &d)| g.add_sdf_actor(*name, d))
+                .collect();
+            g.add_sdf_edge("ab", actors[0], rates[0], actors[1], rates[1], 0);
+            g.add_sdf_edge("bc", actors[1], rates[2], actors[2], rates[3], 0);
+            if ring > 0 {
+                // C emits A's count and A takes C's: balanced by construction.
+                let r = repetition_vector(&g).unwrap();
+                let (ra, rc) = (r.firings_of(&g, actors[0]), r.firings_of(&g, actors[2]));
+                g.add_sdf_edge("ca", actors[2], ra, actors[0], rc, (ring + 1) * rc);
+            }
+            let d = g.add_sdf_actor("D", 1);
+            g.add_sdf_edge("cd", actors[2], 2, d, 1, 0);
+            let caps = vec![
+                rates[0].max(rates[1]) + slack[0],
+                rates[2].max(rates[3]) + slack[1],
+            ];
+            // Half the cases take the tap D (index 3) as the reference.
+            (g, reference.min(3), caps)
+        })
 }
 
 proptest! {
@@ -166,5 +212,46 @@ proptest! {
         let f1 = feasible(&p, &[cap]).unwrap();
         let f2 = feasible(&p, &[cap + 1]).unwrap();
         prop_assert!(!f1 || f2, "feasible at {cap} but not at {}", cap + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn feasible_matches_exact_period(
+        (g, reference, caps) in sized_chain(),
+        (num, den) in (0i128..=40, 1i128..=6),
+    ) {
+        use streamgate_dataflow::buffer::{feasible, period_with_capacities, BufferProblem};
+        use streamgate_ilp::Rational;
+        let reference = g.actor_ids().nth(reference).unwrap();
+        let channels: Vec<_> = g.edge_ids().take(2).collect();
+        let mut p = BufferProblem {
+            graph: g,
+            channels,
+            reference,
+            target_period: Rational::ZERO,
+        };
+        let period = period_with_capacities(&p, &caps).unwrap();
+        // A random target, and where the bounded graph runs: the period
+        // itself (feasible: the test is `<=`), just below it and just above.
+        let mut targets = vec![Rational::new(num, den)];
+        if let Some(per) = period {
+            let tiny = Rational::new(1, 1000 * per.denom());
+            targets.extend([per, per - tiny, per + tiny]);
+        }
+        for target in targets {
+            p.target_period = target;
+            let want = matches!(period, Some(per) if per <= target);
+            prop_assert_eq!(
+                feasible(&p, &caps).unwrap(),
+                want,
+                "caps {:?}, target {}, period {:?}",
+                &caps,
+                target,
+                period
+            );
+        }
     }
 }
